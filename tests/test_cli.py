@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, FIXTURES
 from rest_lint import ConfigError, RuleId
 from rest_lint.cli import (
     EXIT_CLEAN,
@@ -21,6 +21,7 @@ from rest_lint.cli import (
 
 CLEAN = CORPUS / "clean.yaml"
 CREATE_USER = CORPUS / "create_user.json"
+GOLDEN = FIXTURES / "golden"
 
 
 def write_config(tmp_path: Path, doc: dict) -> str:
@@ -142,6 +143,15 @@ class TestLintCommand:
     def test_broken_lexicon_env_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REST_LINT_LEXICON", str(tmp_path / "missing.txt"))
         assert main(["lint", str(CLEAN)]) == EXIT_ERROR
+
+    @pytest.mark.parametrize("fmt,golden", [("text", "lint.txt"), ("json", "lint.json")])
+    def test_corpus_output_matches_golden(self, fmt, golden, capsys, monkeypatch):
+        # The golden files are `rest-lint lint --format FMT <specs>` run inside
+        # tests/fixtures/corpus over every spec there, in sorted name order.
+        specs = sorted(p.name for p in CORPUS.iterdir() if p.name != "labels.json")
+        monkeypatch.chdir(CORPUS)
+        assert main(["lint", "--format", fmt, *specs]) == EXIT_VIOLATIONS
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def build_corpus(tmp_path: Path) -> Path:
