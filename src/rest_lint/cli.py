@@ -264,6 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.format:
             cfg = replace(cfg, output_format=args.format)
         if args.command == "lint":
+            if cfg.output_format == "csv":
+                raise ConfigError("output_format: csv applies to aggregate only; "
+                                  "lint writes text or json")
             return cmd_lint(args.paths, cfg)
         return cmd_aggregate(args.root, cfg)
     except ConfigError as exc:

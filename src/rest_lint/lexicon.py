@@ -18,8 +18,6 @@ from typing import Mapping
 
 from .errors import LexiconError
 
-HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
-
 _CRUD_METHODS = {"GET", "POST", "PUT", "PATCH", "DELETE"}
 _SECTIONS = ("irregular", "invariant", "verb", "crud", "neutral")
 _VERSION_SEGMENT = re.compile(r"^v\d+$")

@@ -20,7 +20,7 @@ import yaml
 
 from .errors import NotAnApiSpec, ParseError
 
-HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS")
+HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS", "TRACE")
 
 _METHOD_KEYS = {m.lower(): m for m in HTTP_METHODS}
 _STATUS_KEY = re.compile(r"^[0-9X]{3}$")

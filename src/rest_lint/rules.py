@@ -1,9 +1,12 @@
 """The 14 REST design rule checkers and their orchestration.
 
-Every checker is a pure function of the immutable spec (plus the word
-lexicon where naming is involved) and returns a list of violations.
-run_rules concatenates the enabled checkers' output, coalesces exact
-duplicates, and sorts deterministically.
+Every checker has one signature, check_x(spec, templates, cfg, lexicon),
+and is a pure function of those arguments: the immutable spec, its path
+templates tokenized and classified once, the rule config, and the word
+lexicon. It returns a list of violations. _CHECKERS maps each RuleId to
+its checker. run_rules classifies the templates, concatenates the
+enabled checkers' output, and hands it to coalesce, which sorts it
+deterministically and collapses exact duplicates.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 from .model import ApiSpecification, OperationRecord, effective_security
@@ -132,29 +135,23 @@ def run_rules(
         for (sid, path), mapping in cfg.archetype_overrides.items()
         if sid == spec.spec_id
     }
-    templates = _classified_templates(spec, lexicon, overrides)
-
-    collected: list[Violation] = []
-    for rule in RULE_ORDER:
-        if rule in cfg.enabled:
-            collected.extend(_CHECKERS[rule](spec, cfg, lexicon, templates))
-
-    unique: dict[tuple, Violation] = {}
-    for violation in sorted(collected, key=Violation.sort_key):
-        unique.setdefault(violation.identity(), violation)
-    return list(unique.values())
-
-
-def _classified_templates(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    overrides: Mapping[str, Mapping[int, Archetype]] | None = None,
-) -> dict[str, PathTemplate]:
-    overrides = overrides or {}
-    return {
+    templates = {
         raw: classify_archetypes(tokenize_path(raw), lexicon, overrides.get(raw))
         for raw in spec.paths
     }
+    collected: list[Violation] = []
+    for rule in RULE_ORDER:
+        if rule in cfg.enabled:
+            collected.extend(_CHECKERS[rule](spec, templates, cfg, lexicon))
+    return coalesce(collected)
+
+
+def coalesce(violations: Iterable[Violation]) -> list[Violation]:
+    """Sort deterministically and keep the first of each group of identical findings."""
+    unique: dict[tuple, Violation] = {}
+    for violation in sorted(violations, key=Violation.sort_key):
+        unique.setdefault(violation.identity(), violation)
+    return list(unique.values())
 
 
 def _operations(spec: ApiSpecification) -> Iterable[tuple[str, OperationRecord]]:
@@ -163,12 +160,22 @@ def _operations(spec: ApiSpecification) -> Iterable[tuple[str, OperationRecord]]
             yield entry.template, op
 
 
-def _path_tokens(template: PathTemplate) -> list[str]:
-    tokens: list[str] = []
-    for seg in template.segments:
-        if seg.kind is SegmentKind.LITERAL:
-            tokens.extend(seg.words)
-    return tokens
+def _action_tokens(
+    template: PathTemplate, op: OperationRecord, lexicon: WordLexicon
+) -> list[tuple[str, str]]:
+    """CRUD tokens among the path's literal words and the operationId words.
+
+    Each distinct token appears once, in order of first occurrence,
+    paired with the HTTP method it implies.
+    """
+    words = [w for seg in template.segments if seg.kind is SegmentKind.LITERAL for w in seg.words]
+    if op.operation_id:
+        words.extend(split_words(op.operation_id)[0])
+    return [
+        (word, implied)
+        for word in dict.fromkeys(words)
+        if (implied := crud_method_of(word, lexicon)) is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,8 @@ def _path_tokens(template: PathTemplate) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def check_rc401(spec: ApiSpecification) -> list[Violation]:
+def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Credentialed operations must declare a 401 (or 4XX range) response."""
     out = []
     for path, op in _operations(spec):
@@ -197,14 +205,11 @@ def check_rc401(spec: ApiSpecification) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 
-def check_plural_noun(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_plural_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                      cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Collection segments must have a plural head word."""
     out = []
-    for path, template in _resolved(spec, lexicon, templates):
+    for path, template in templates.items():
         for seg in template.segments:
             if seg.archetype is Archetype.COLLECTION and seg.words:
                 if not is_plural(seg.words[-1], lexicon):
@@ -215,17 +220,14 @@ def check_plural_noun(
     return out
 
 
-def check_singular_noun(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_singular_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Literal document segments must have a singular head word.
 
     Parameter segments are exempt: their runtime values are opaque.
     """
     out = []
-    for path, template in _resolved(spec, lexicon, templates):
+    for path, template in templates.items():
         for seg in template.segments:
             if (
                 seg.kind is SegmentKind.LITERAL
@@ -240,13 +242,11 @@ def check_singular_noun(
     return out
 
 
-def check_no_trailing_slash(
-    spec: ApiSpecification,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_no_trailing_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                            cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Path templates must not end with a slash; the root path is exempt."""
     out = []
-    for path, template in _resolved(spec, None, templates):
+    for path, template in templates.items():
         if template.has_trailing_slash:
             out.append(Violation(
                 rule=RuleId.NO_TRAILING_SLASH, spec_id=spec.spec_id, path=path,
@@ -256,11 +256,8 @@ def check_no_trailing_slash(
     return out
 
 
-def check_verb_controller(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_verb_controller(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                          cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Controller segments must start with a verb.
 
     The default classifier only labels verb-initial segments as
@@ -268,7 +265,7 @@ def check_verb_controller(
     segment to the controller archetype.
     """
     out = []
-    for path, template in _resolved(spec, lexicon, templates):
+    for path, template in templates.items():
         for seg in template.segments:
             if seg.archetype is Archetype.CONTROLLER and seg.words:
                 if not is_verb(seg.words[0], lexicon):
@@ -279,14 +276,11 @@ def check_verb_controller(
     return out
 
 
-def check_no_crud_names(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_no_crud_names(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """CRUD function names do not belong in URIs."""
     out = []
-    for path, template in _resolved(spec, lexicon, templates):
+    for path, template in templates.items():
         for seg in template.segments:
             if seg.kind is not SegmentKind.LITERAL:
                 continue
@@ -302,13 +296,11 @@ def check_no_crud_names(
     return out
 
 
-def check_forward_slash(
-    spec: ApiSpecification,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_forward_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Hierarchy must be expressed with '/': no empty segments, no '.'/':'/';'."""
     out = []
-    for path, template in _resolved(spec, None, templates):
+    for path, template in templates.items():
         if template.has_empty_segment:
             out.append(Violation(
                 rule=RuleId.FORWARD_SLASH, spec_id=spec.spec_id, path=path,
@@ -324,17 +316,15 @@ def check_forward_slash(
     return out
 
 
-def check_hyphens(
-    spec: ApiSpecification,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_hyphens(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                  cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Multiword literal segments should be hyphen-separated.
 
     Fires on case or underscore boundaries; digit boundaries alone
     (version tokens like v2) are exempt.
     """
     out = []
-    for path, template in _resolved(spec, None, templates):
+    for path, template in templates.items():
         for seg in template.segments:
             if (
                 seg.kind is SegmentKind.LITERAL
@@ -348,16 +338,13 @@ def check_hyphens(
     return out
 
 
-def check_lowercase(
-    spec: ApiSpecification,
-    templates: Mapping[str, PathTemplate] | None = None,
-    exempt_parameter_names: bool = True,
-) -> list[Violation]:
+def check_lowercase(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                    cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """URI paths should be lowercase; parameter names are placeholders."""
     out = []
-    for path, template in _resolved(spec, None, templates):
+    for path, template in templates.items():
         for seg in template.segments:
-            if seg.kind is SegmentKind.PARAMETER and exempt_parameter_names:
+            if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
                 continue
             if any(ch.isupper() for ch in seg.name):
                 out.append(_segment_violation(
@@ -367,16 +354,13 @@ def check_lowercase(
     return out
 
 
-def check_no_underscores(
-    spec: ApiSpecification,
-    templates: Mapping[str, PathTemplate] | None = None,
-    exempt_parameter_names: bool = True,
-) -> list[Violation]:
+def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                         cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Underscores do not belong in URI paths; parameter names are placeholders."""
     out = []
-    for path, template in _resolved(spec, None, templates):
+    for path, template in templates.items():
         for seg in template.segments:
-            if seg.kind is SegmentKind.PARAMETER and exempt_parameter_names:
+            if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
                 continue
             if "_" in seg.name:
                 out.append(_segment_violation(
@@ -391,7 +375,8 @@ def check_no_underscores(
 # ---------------------------------------------------------------------------
 
 
-def check_content_type(spec: ApiSpecification) -> list[Violation]:
+def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                       cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """Request bodies and body-bearing responses must declare media types."""
     out = []
     for path, op in _operations(spec):
@@ -413,9 +398,8 @@ def check_content_type(spec: ApiSpecification) -> list[Violation]:
     return out
 
 
-def check_description_type(
-    spec: ApiSpecification, lexicon: WordLexicon
-) -> list[Violation]:
+def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                           cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """The leading word of a description must not contradict the method.
 
     Only the first word is inspected; scanning whole descriptions is far
@@ -451,32 +435,20 @@ def check_description_type(
 # ---------------------------------------------------------------------------
 
 
-def check_no_tunnel(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                    cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """GET and POST must not smuggle another method's semantics.
 
     Flags CRUD tokens (in the path or operationId) that imply a
     different method, and method-switching query parameters. POST
     carrying create-class tokens is the legitimate case.
     """
-    resolved = dict(_resolved(spec, lexicon, templates))
     out = []
     for path, op in _operations(spec):
         if op.method not in ("GET", "POST"):
             continue
-        tokens = _path_tokens(resolved[path])
-        if op.operation_id:
-            tokens.extend(split_words(op.operation_id)[0])
-        seen: set[str] = set()
-        for token in tokens:
-            if token in seen:
-                continue
-            seen.add(token)
-            implied = crud_method_of(token, lexicon)
-            if implied is None or implied == op.method:
+        for token, implied in _action_tokens(templates[path], op, lexicon):
+            if implied == op.method:
                 continue
             out.append(Violation(
                 rule=RuleId.NO_TUNNEL, spec_id=spec.spec_id, path=path,
@@ -493,13 +465,9 @@ def check_no_tunnel(
     return out
 
 
-def check_get_retrieve(
-    spec: ApiSpecification,
-    lexicon: WordLexicon,
-    templates: Mapping[str, PathTemplate] | None = None,
-) -> list[Violation]:
+def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+                       cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
     """GET must only retrieve: no request bodies, no non-read CRUD tokens."""
-    resolved = dict(_resolved(spec, lexicon, templates))
     out = []
     for path, op in _operations(spec):
         if op.method != "GET":
@@ -510,16 +478,8 @@ def check_get_retrieve(
                 method="GET", status_key=None, fragment="request-body",
                 message="GET operation declares a request body",
             ))
-        tokens = _path_tokens(resolved[path])
-        if op.operation_id:
-            tokens.extend(split_words(op.operation_id)[0])
-        seen: set[str] = set()
-        for token in tokens:
-            if token in seen:
-                continue
-            seen.add(token)
-            implied = crud_method_of(token, lexicon)
-            if implied is not None and _METHOD_CLASS[implied] != "read":
+        for token, implied in _action_tokens(templates[path], op, lexicon):
+            if _METHOD_CLASS[implied] != "read":
                 out.append(Violation(
                     rule=RuleId.GET_RETRIEVE, spec_id=spec.spec_id, path=path,
                     method="GET", status_key=None, fragment=token,
@@ -542,51 +502,19 @@ def _segment_violation(
     )
 
 
-def _resolved(
-    spec: ApiSpecification,
-    lexicon: WordLexicon | None,
-    templates: Mapping[str, PathTemplate] | None,
-) -> Iterable[tuple[str, PathTemplate]]:
-    if templates is None:
-        templates = {
-            raw: classify_archetypes(tokenize_path(raw), lexicon or _NOUN_FREE_LEXICON)
-            for raw in spec.paths
-        }
-    return templates.items()
-
-
-# Lexical checkers (trailing slash, separators, hyphens, case, underscores)
-# need tokenization but no vocabulary; an empty lexicon keeps them standalone.
-_NOUN_FREE_LEXICON = WordLexicon(
-    irregular_plural_to_singular={},
-    invariant_forms=frozenset(),
-    verb_set=frozenset(),
-    crud_token_to_method={},
-    neutral_segments=frozenset(),
-)
-
-Checker = Callable[
-    [ApiSpecification, RuleConfig, WordLexicon, Mapping[str, PathTemplate]],
-    list[Violation],
-]
-
-_CHECKERS: dict[RuleId, Checker] = {
-    RuleId.RC401: lambda spec, cfg, lex, tpl: check_rc401(spec),
-    RuleId.PLURAL_NOUN: lambda spec, cfg, lex, tpl: check_plural_noun(spec, lex, tpl),
-    RuleId.SINGULAR_NOUN: lambda spec, cfg, lex, tpl: check_singular_noun(spec, lex, tpl),
-    RuleId.NO_TRAILING_SLASH: lambda spec, cfg, lex, tpl: check_no_trailing_slash(spec, tpl),
-    RuleId.VERB_CONTROLLER: lambda spec, cfg, lex, tpl: check_verb_controller(spec, lex, tpl),
-    RuleId.NO_CRUD_NAMES: lambda spec, cfg, lex, tpl: check_no_crud_names(spec, lex, tpl),
-    RuleId.CONTENT_TYPE: lambda spec, cfg, lex, tpl: check_content_type(spec),
-    RuleId.DESCRIPTION_TYPE: lambda spec, cfg, lex, tpl: check_description_type(spec, lex),
-    RuleId.FORWARD_SLASH: lambda spec, cfg, lex, tpl: check_forward_slash(spec, tpl),
-    RuleId.NO_TUNNEL: lambda spec, cfg, lex, tpl: check_no_tunnel(spec, lex, tpl),
-    RuleId.GET_RETRIEVE: lambda spec, cfg, lex, tpl: check_get_retrieve(spec, lex, tpl),
-    RuleId.HYPHENS: lambda spec, cfg, lex, tpl: check_hyphens(spec, tpl),
-    RuleId.LOWERCASE: lambda spec, cfg, lex, tpl: check_lowercase(
-        spec, tpl, cfg.exempt_parameter_names
-    ),
-    RuleId.NO_UNDERSCORES: lambda spec, cfg, lex, tpl: check_no_underscores(
-        spec, tpl, cfg.exempt_parameter_names
-    ),
+_CHECKERS = {
+    RuleId.RC401: check_rc401,
+    RuleId.PLURAL_NOUN: check_plural_noun,
+    RuleId.SINGULAR_NOUN: check_singular_noun,
+    RuleId.NO_TRAILING_SLASH: check_no_trailing_slash,
+    RuleId.VERB_CONTROLLER: check_verb_controller,
+    RuleId.NO_CRUD_NAMES: check_no_crud_names,
+    RuleId.CONTENT_TYPE: check_content_type,
+    RuleId.DESCRIPTION_TYPE: check_description_type,
+    RuleId.FORWARD_SLASH: check_forward_slash,
+    RuleId.NO_TUNNEL: check_no_tunnel,
+    RuleId.GET_RETRIEVE: check_get_retrieve,
+    RuleId.HYPHENS: check_hyphens,
+    RuleId.LOWERCASE: check_lowercase,
+    RuleId.NO_UNDERSCORES: check_no_underscores,
 }

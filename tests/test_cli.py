@@ -125,6 +125,13 @@ class TestLintCommand:
         assert main(["lint", str(CLEAN), "--config", cfg]) == EXIT_ERROR
         assert "configuration error" in capsys.readouterr().err
 
+    def test_csv_config_format_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"output_format": "csv"})
+        assert main(["lint", str(CLEAN), "--config", cfg]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: output_format: csv")
+
     def test_repeated_runs_are_byte_identical(self, capsys):
         main(["lint", str(CREATE_USER), str(CLEAN)])
         first = capsys.readouterr().out

@@ -48,6 +48,15 @@ class TestLoadBasics:
         assert op.responses["200"].media_types == frozenset({"application/json"})
         assert not op.has_request_body
 
+    def test_trace_operation_loaded(self):
+        ok = {"responses": {"200": {"description": "OK"}}}
+        spec = load_spec(spec_bytes({
+            "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "paths": {"/users": {"get": ok, "trace": ok}},
+        }), "trace")
+        assert list(spec.paths["/users"].operations) == ["GET", "TRACE"]
+        assert spec.diagnostics == ()
+
     def test_accepts_binary_stream(self):
         spec = load_spec(io.BytesIO(MINIMAL_V3), "stream")
         assert spec.spec_id == "stream"

@@ -11,29 +11,19 @@ from rest_lint import (
     Archetype,
     RuleConfig,
     RuleId,
+    Violation,
     default_lexicon,
     load_spec,
     load_spec_file,
     run_rules,
 )
-from rest_lint.rules import (
-    check_content_type,
-    check_description_type,
-    check_forward_slash,
-    check_get_retrieve,
-    check_hyphens,
-    check_lowercase,
-    check_no_crud_names,
-    check_no_trailing_slash,
-    check_no_tunnel,
-    check_no_underscores,
-    check_plural_noun,
-    check_rc401,
-    check_singular_noun,
-    check_verb_controller,
-)
 
 LEX = default_lexicon()
+
+
+def check(rule: RuleId, spec: ApiSpecification, **cfg) -> list[Violation]:
+    """Run one rule alone through run_rules."""
+    return run_rules(spec, RuleConfig(enabled=frozenset({rule}), **cfg), LEX)
 
 
 def make_spec(paths: dict, spec_id: str = "t", security: list | None = None,
@@ -67,40 +57,40 @@ class TestRC401:
             {"/users": {"get": get_op(responses={"200": OK_JSON, "401": {"description": "no"}})}},
             security=[{"bearer": []}],
         )
-        assert check_rc401(spec) == []
+        assert check(RuleId.RC401, spec) == []
 
     def test_secured_without_401_violates(self):
         spec = make_spec({"/users": {"get": get_op()}}, security=[{"bearer": []}])
-        violations = check_rc401(spec)
+        violations = check(RuleId.RC401, spec)
         assert len(violations) == 1
         assert violations[0].method == "GET" and violations[0].fragment == "401"
 
     def test_unsecured_is_out_of_scope(self):
         spec = make_spec({"/users": {"get": get_op()}})
-        assert check_rc401(spec) == []
+        assert check(RuleId.RC401, spec) == []
 
     def test_4xx_range_satisfies(self):
         spec = make_spec(
             {"/users": {"get": get_op(responses={"200": OK_JSON, "4XX": {"description": "err"}})}},
             security=[{"bearer": []}],
         )
-        assert check_rc401(spec) == []
+        assert check(RuleId.RC401, spec) == []
 
 
 class TestPluralNoun:
     def test_plural_collection_is_clean(self):
-        assert check_plural_noun(make_spec({"/users/{id}": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.PLURAL_NOUN, make_spec({"/users/{id}": {"get": get_op()}})) == []
 
     def test_singular_collection_violates(self):
-        violations = check_plural_noun(make_spec({"/user/{id}": {"get": get_op()}}), LEX)
+        violations = check(RuleId.PLURAL_NOUN, make_spec({"/user/{id}": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["user"]
 
     def test_irregular_plural_is_clean(self):
-        assert check_plural_noun(make_spec({"/people/{id}": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.PLURAL_NOUN, make_spec({"/people/{id}": {"get": get_op()}})) == []
 
     def test_multiword_uses_head_noun(self):
-        violations = check_plural_noun(
-            make_spec({"/order-item/{id}": {"get": get_op()}}), LEX
+        violations = check(
+            RuleId.PLURAL_NOUN, make_spec({"/order-item/{id}": {"get": get_op()}})
         )
         assert [v.fragment for v in violations] == ["order-item"]
 
@@ -108,7 +98,7 @@ class TestPluralNoun:
 class TestSingularNoun:
     def test_singular_document_is_clean(self):
         spec = make_spec({"/users/{id}/profile": {"get": get_op()}})
-        assert check_singular_noun(spec, LEX) == []
+        assert check(RuleId.SINGULAR_NOUN, spec) == []
 
     def test_plural_document_violates_with_override(self):
         spec = make_spec({"/users/{id}/profiles": {"get": get_op()}}, spec_id="s")
@@ -119,25 +109,25 @@ class TestSingularNoun:
         assert [v.fragment for v in violations if v.rule is RuleId.SINGULAR_NOUN] == ["profiles"]
 
     def test_parameter_segments_exempt(self):
-        assert check_singular_noun(make_spec({"/users/{id}": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.SINGULAR_NOUN, make_spec({"/users/{id}": {"get": get_op()}})) == []
 
 
 class TestNoTrailingSlash:
     def test_trailing_slash_violates(self):
-        violations = check_no_trailing_slash(make_spec({"/users/": {"get": get_op()}}))
+        violations = check(RuleId.NO_TRAILING_SLASH, make_spec({"/users/": {"get": get_op()}}))
         assert [v.path for v in violations] == ["/users/"]
 
     def test_plain_path_is_clean(self):
-        assert check_no_trailing_slash(make_spec({"/users": {"get": get_op()}})) == []
+        assert check(RuleId.NO_TRAILING_SLASH, make_spec({"/users": {"get": get_op()}})) == []
 
     def test_root_path_exempt(self):
-        assert check_no_trailing_slash(make_spec({"/": {"get": get_op()}})) == []
+        assert check(RuleId.NO_TRAILING_SLASH, make_spec({"/": {"get": get_op()}})) == []
 
 
 class TestVerbController:
     def test_verb_controller_is_clean(self):
         spec = make_spec({"/users/{id}/activate": {"post": get_op()}})
-        assert check_verb_controller(spec, LEX) == []
+        assert check(RuleId.VERB_CONTROLLER, spec) == []
 
     def test_noun_controller_violates_via_override(self):
         spec = make_spec({"/users/{id}/activation": {"post": get_op()}}, spec_id="s")
@@ -150,26 +140,26 @@ class TestVerbController:
         ]
 
     def test_no_controllers_no_violations(self):
-        assert check_verb_controller(make_spec({"/users": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.VERB_CONTROLLER, make_spec({"/users": {"get": get_op()}})) == []
 
 
 class TestNoCrudNames:
     def test_create_prefix_violates(self):
-        violations = check_no_crud_names(make_spec({"/createUser": {"post": get_op()}}), LEX)
+        violations = check(RuleId.NO_CRUD_NAMES, make_spec({"/createUser": {"post": get_op()}}))
         assert [v.fragment for v in violations] == ["create"]
 
     def test_plain_collection_is_clean(self):
-        assert check_no_crud_names(make_spec({"/users": {"post": get_op()}}), LEX) == []
+        assert check(RuleId.NO_CRUD_NAMES, make_spec({"/users": {"post": get_op()}})) == []
 
     def test_get_prefix_mid_path_violates(self):
-        violations = check_no_crud_names(
-            make_spec({"/getOrders/recent": {"get": get_op()}}), LEX
+        violations = check(
+            RuleId.NO_CRUD_NAMES, make_spec({"/getOrders/recent": {"get": get_op()}})
         )
         assert [v.fragment for v in violations] == ["get"]
 
     def test_one_violation_per_segment(self):
-        violations = check_no_crud_names(
-            make_spec({"/create/delete": {"post": get_op()}}), LEX
+        violations = check(
+            RuleId.NO_CRUD_NAMES, make_spec({"/create/delete": {"post": get_op()}})
         )
         assert sorted(v.fragment for v in violations) == ["create", "delete"]
 
@@ -180,28 +170,28 @@ class TestContentType:
             requestBody={"content": {"application/json": {}}},
             responses={"201": {"description": "C", "content": {"application/json": {}}}},
         )}})
-        assert check_content_type(spec) == []
+        assert check(RuleId.CONTENT_TYPE, spec) == []
 
     def test_response_without_media_violates(self):
         spec = make_spec({"/users": {"get": get_op(responses={"200": {"description": "OK"}})}})
-        violations = check_content_type(spec)
+        violations = check(RuleId.CONTENT_TYPE, spec)
         assert len(violations) == 1
         assert violations[0].status_key == "200"
 
     def test_204_exempt(self):
         spec = make_spec({"/users/{id}": {"delete": get_op(
             responses={"204": {"description": "gone"}})}})
-        assert check_content_type(spec) == []
+        assert check(RuleId.CONTENT_TYPE, spec) == []
 
     def test_304_and_1xx_exempt(self):
         spec = make_spec({"/users": {"get": get_op(responses={
             "304": {"description": "cached"}, "100": {"description": "continue"},
             "1XX": {"description": "info"}})}})
-        assert check_content_type(spec) == []
+        assert check(RuleId.CONTENT_TYPE, spec) == []
 
     def test_body_without_media_violates(self):
         spec = make_spec({"/users": {"post": get_op(requestBody={})}})
-        violations = check_content_type(spec)
+        violations = check(RuleId.CONTENT_TYPE, spec)
         assert [v.status_key for v in violations] == [None]
         assert violations[0].method == "POST"
 
@@ -209,139 +199,140 @@ class TestContentType:
 class TestDescriptionType:
     def test_matching_description_is_clean(self):
         spec = make_spec({"/users": {"get": get_op(description="Retrieve all users")}})
-        assert check_description_type(spec, LEX) == []
+        assert check(RuleId.DESCRIPTION_TYPE, spec) == []
 
     def test_contradicting_description_violates(self):
         spec = make_spec({"/users": {"get": get_op(description="Delete a user")}})
-        violations = check_description_type(spec, LEX)
+        violations = check(RuleId.DESCRIPTION_TYPE, spec)
         assert [v.fragment for v in violations] == ["delete"]
 
     def test_missing_description_is_clean(self):
         spec = make_spec({"/users": {"post": get_op()}})
-        assert check_description_type(spec, LEX) == []
+        assert check(RuleId.DESCRIPTION_TYPE, spec) == []
 
     def test_summary_used_as_fallback(self):
         spec = make_spec({"/users": {"get": get_op(summary="Remove the user")}})
-        assert [v.fragment for v in check_description_type(spec, LEX)] == ["remove"]
+        assert [v.fragment for v in check(RuleId.DESCRIPTION_TYPE, spec)] == ["remove"]
 
     def test_put_and_patch_share_update_class(self):
         spec = make_spec({"/users/{id}": {"patch": get_op(description="Update the user")}})
-        assert check_description_type(spec, LEX) == []
+        assert check(RuleId.DESCRIPTION_TYPE, spec) == []
 
     def test_non_crud_leading_word_is_clean(self):
         spec = make_spec({"/users": {"get": get_op(description="Browse the users")}})
-        assert check_description_type(spec, LEX) == []
+        assert check(RuleId.DESCRIPTION_TYPE, spec) == []
 
 
 class TestForwardSlash:
     def test_empty_segment_violates(self):
-        violations = check_forward_slash(make_spec({"/users//orders": {"get": get_op()}}))
+        violations = check(RuleId.FORWARD_SLASH, make_spec({"/users//orders": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["//"]
 
     def test_dot_separator_violates(self):
-        violations = check_forward_slash(make_spec({"/users.orders": {"get": get_op()}}))
+        violations = check(RuleId.FORWARD_SLASH, make_spec({"/users.orders": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["users.orders"]
 
     def test_slash_hierarchy_is_clean(self):
-        assert check_forward_slash(make_spec({"/users/orders": {"get": get_op()}})) == []
+        assert check(RuleId.FORWARD_SLASH, make_spec({"/users/orders": {"get": get_op()}})) == []
 
     def test_colon_and_semicolon_violate(self):
         spec = make_spec({"/users:orders": {"get": get_op()},
                           "/a;b": {"get": get_op()}})
-        assert len(check_forward_slash(spec)) == 2
+        assert len(check(RuleId.FORWARD_SLASH, spec)) == 2
 
 
 class TestNoTunnel:
     def test_post_with_delete_token_violates(self):
-        violations = check_no_tunnel(make_spec({"/users/delete": {"post": get_op()}}), LEX)
+        violations = check(RuleId.NO_TUNNEL, make_spec({"/users/delete": {"post": get_op()}}))
         assert [(v.method, v.fragment) for v in violations] == [("POST", "delete")]
 
     def test_post_create_semantics_is_clean(self):
-        assert check_no_tunnel(make_spec({"/users": {"post": get_op()}}), LEX) == []
+        assert check(RuleId.NO_TUNNEL, make_spec({"/users": {"post": get_op()}})) == []
 
     def test_post_with_create_token_is_legitimate(self):
-        assert check_no_tunnel(make_spec({"/createUser": {"post": get_op()}}), LEX) == []
+        assert check(RuleId.NO_TUNNEL, make_spec({"/createUser": {"post": get_op()}})) == []
 
     def test_method_query_parameter_violates(self):
         spec = make_spec({"/users": {"get": get_op(
             parameters=[{"name": "_method", "in": "query"}])}})
-        violations = check_no_tunnel(spec, LEX)
+        violations = check(RuleId.NO_TUNNEL, spec)
         assert [v.fragment for v in violations] == ["_method"]
 
     def test_operation_id_tokens_scanned(self):
         spec = make_spec({"/users": {"post": get_op(operationId="deleteUser")}})
-        assert [v.fragment for v in check_no_tunnel(spec, LEX)] == ["delete"]
+        assert [v.fragment for v in check(RuleId.NO_TUNNEL, spec)] == ["delete"]
 
     def test_other_methods_ignored(self):
         spec = make_spec({"/users/delete": {"delete": get_op()}})
-        assert check_no_tunnel(spec, LEX) == []
+        assert check(RuleId.NO_TUNNEL, spec) == []
 
 
 class TestGetRetrieve:
     def test_get_that_deletes_violates(self):
-        violations = check_get_retrieve(make_spec({"/deleteUser": {"get": get_op()}}), LEX)
+        violations = check(RuleId.GET_RETRIEVE, make_spec({"/deleteUser": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["delete"]
 
     def test_plain_get_is_clean(self):
-        assert check_get_retrieve(make_spec({"/users": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.GET_RETRIEVE, make_spec({"/users": {"get": get_op()}})) == []
 
     def test_get_with_body_violates(self):
         spec = make_spec({"/users": {"get": get_op(
             requestBody={"content": {"application/json": {}}})}})
-        violations = check_get_retrieve(spec, LEX)
+        violations = check(RuleId.GET_RETRIEVE, spec)
         assert [v.fragment for v in violations] == ["request-body"]
 
     def test_read_tokens_are_fine(self):
-        assert check_get_retrieve(make_spec({"/fetchUsers": {"get": get_op()}}), LEX) == []
+        assert check(RuleId.GET_RETRIEVE, make_spec({"/fetchUsers": {"get": get_op()}})) == []
 
 
 class TestHyphens:
     def test_camel_case_violates(self):
-        violations = check_hyphens(make_spec({"/userProfiles": {"get": get_op()}}))
+        violations = check(RuleId.HYPHENS, make_spec({"/userProfiles": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["userProfiles"]
 
     def test_hyphenated_is_clean(self):
-        assert check_hyphens(make_spec({"/user-profiles": {"get": get_op()}})) == []
+        assert check(RuleId.HYPHENS, make_spec({"/user-profiles": {"get": get_op()}})) == []
 
     def test_digit_boundary_exempt(self):
-        assert check_hyphens(make_spec({"/v2": {"get": get_op()}})) == []
+        assert check(RuleId.HYPHENS, make_spec({"/v2": {"get": get_op()}})) == []
 
     def test_underscore_boundary_violates(self):
-        violations = check_hyphens(make_spec({"/user_profiles": {"get": get_op()}}))
+        violations = check(RuleId.HYPHENS, make_spec({"/user_profiles": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["user_profiles"]
 
 
 class TestLowercase:
     def test_uppercase_literal_violates(self):
-        violations = check_lowercase(make_spec({"/Users": {"get": get_op()}}))
+        violations = check(RuleId.LOWERCASE, make_spec({"/Users": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["Users"]
 
     def test_parameter_names_exempt(self):
-        assert check_lowercase(make_spec({"/users/{userId}": {"get": get_op()}})) == []
+        assert check(RuleId.LOWERCASE, make_spec({"/users/{userId}": {"get": get_op()}})) == []
 
     def test_lowercase_is_clean(self):
-        assert check_lowercase(make_spec({"/users": {"get": get_op()}})) == []
+        assert check(RuleId.LOWERCASE, make_spec({"/users": {"get": get_op()}})) == []
 
     def test_parameter_exemption_toggle(self):
         spec = make_spec({"/users/{userId}": {"get": get_op()}})
-        violations = check_lowercase(spec, exempt_parameter_names=False)
+        violations = check(RuleId.LOWERCASE, spec, exempt_parameter_names=False)
         assert [v.fragment for v in violations] == ["{userId}"]
 
 
 class TestNoUnderscores:
     def test_underscore_literal_violates(self):
-        violations = check_no_underscores(make_spec({"/user_profiles": {"get": get_op()}}))
+        violations = check(RuleId.NO_UNDERSCORES, make_spec({"/user_profiles": {"get": get_op()}}))
         assert [v.fragment for v in violations] == ["user_profiles"]
 
     def test_parameter_names_exempt(self):
-        assert check_no_underscores(make_spec({"/users/{user_id}": {"get": get_op()}})) == []
+        spec = make_spec({"/users/{user_id}": {"get": get_op()}})
+        assert check(RuleId.NO_UNDERSCORES, spec) == []
 
     def test_hyphenated_is_clean(self):
-        assert check_no_underscores(make_spec({"/user-profiles": {"get": get_op()}})) == []
+        assert check(RuleId.NO_UNDERSCORES, make_spec({"/user-profiles": {"get": get_op()}})) == []
 
     def test_parameter_exemption_toggle(self):
         spec = make_spec({"/users/{user_id}": {"get": get_op()}})
-        violations = check_no_underscores(spec, exempt_parameter_names=False)
+        violations = check(RuleId.NO_UNDERSCORES, spec, exempt_parameter_names=False)
         assert [v.fragment for v in violations] == ["{user_id}"]
 
 
