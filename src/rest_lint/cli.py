@@ -11,8 +11,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Mapping
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
 from .lexicon import WordLexicon, default_lexicon, load_lexicon
@@ -31,26 +32,17 @@ EXIT_ERROR = 2
 
 
 @dataclass(frozen=True)
-class ArchetypeOverride:
-    spec_id: str
-    path: str
-    segment_index: int
-    archetype: Archetype
-
-
-@dataclass(frozen=True)
 class LintConfig:
     enabled_rules: tuple[RuleId, ...] = RULE_ORDER
     lexicon_path: str | None = None
-    archetype_overrides: tuple[ArchetypeOverride, ...] = ()
+    archetype_overrides: Mapping[tuple[str, str], Mapping[int, Archetype]] = field(
+        default_factory=dict
+    )
     exempt_parameter_names: bool = True
     output_format: str = "text"
 
 
-_CONFIG_FIELDS = {
-    "enabled_rules", "lexicon_path", "archetype_overrides",
-    "exempt_parameter_names", "output_format",
-}
+_CONFIG_FIELDS = {f.name for f in fields(LintConfig)}
 
 
 def load_config(path: str | Path | None = None) -> LintConfig:
@@ -106,10 +98,11 @@ def load_config(path: str | Path | None = None) -> LintConfig:
         entries = doc["archetype_overrides"]
         if not isinstance(entries, list):
             raise ConfigError("archetype_overrides: expected a list")
-        cfg = replace(
-            cfg,
-            archetype_overrides=tuple(_parse_override(e, i) for i, e in enumerate(entries)),
-        )
+        overrides: dict[tuple[str, str], dict[int, Archetype]] = {}
+        for i, entry in enumerate(entries):
+            spec_id, path, segment_index, archetype = _parse_override(entry, i)
+            overrides.setdefault((spec_id, path), {})[segment_index] = archetype
+        cfg = replace(cfg, archetype_overrides=overrides)
 
     return cfg
 
@@ -122,7 +115,7 @@ def _parse_rule(name: str) -> RuleId:
         raise ConfigError(f"enabled_rules: unknown rule {name!r} (valid: {valid})") from None
 
 
-def _parse_override(entry: object, index: int) -> ArchetypeOverride:
+def _parse_override(entry: object, index: int) -> tuple[str, str, int, Archetype]:
     where = f"archetype_overrides[{index}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -140,23 +133,13 @@ def _parse_override(entry: object, index: int) -> ArchetypeOverride:
         raise ConfigError(
             f"{where}: unknown archetype {entry['archetype']!r} (valid: {valid})"
         ) from None
-    return ArchetypeOverride(
-        spec_id=entry["spec_id"],
-        path=entry["path"],
-        segment_index=entry["segment_index"],
-        archetype=archetype,
-    )
+    return entry["spec_id"], entry["path"], entry["segment_index"], archetype
 
 
 def to_rule_config(cfg: LintConfig) -> RuleConfig:
-    overrides: dict[tuple[str, str], dict[int, Archetype]] = {}
-    for entry in cfg.archetype_overrides:
-        overrides.setdefault((entry.spec_id, entry.path), {})[
-            entry.segment_index
-        ] = entry.archetype
     return RuleConfig(
         enabled=frozenset(cfg.enabled_rules),
-        archetype_overrides=overrides,
+        archetype_overrides=cfg.archetype_overrides,
         exempt_parameter_names=cfg.exempt_parameter_names,
     )
 

@@ -23,6 +23,8 @@ from .errors import NotAnApiSpec, ParseError
 HTTP_METHODS = ("GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS", "TRACE")
 
 _METHOD_KEYS = {m.lower(): m for m in HTTP_METHODS}
+# Swagger 2.0 path items define no trace operation.
+_SWAGGER2_METHOD_KEYS = {k: m for k, m in _METHOD_KEYS.items() if m != "TRACE"}
 _STATUS_KEY = re.compile(r"^[0-9X]{3}$")
 _TOKEN = r"[0-9A-Za-z!#$%&'*+.^_`|~-]+"
 _MEDIA_TYPE = re.compile(rf"^{_TOKEN}/{_TOKEN}(\s*;.*)?$")
@@ -133,19 +135,15 @@ class _DupSafeLoader(yaml.SafeLoader):
 
 
 def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
-    mapping = _KeyedDict()
+    pairs = []
     for key_node, value_node in node.value:
         key = loader.construct_object(key_node, deep=True)
         try:
             hash(key)
         except TypeError:
             key = str(key)
-        value = loader.construct_object(value_node, deep=True)
-        if key in mapping:
-            mapping.duplicate_keys.append(key)
-        else:
-            mapping[key] = value
-    return mapping
+        pairs.append((key, loader.construct_object(value_node, deep=True)))
+    return _keyed_from_pairs(pairs)
 
 
 _DupSafeLoader.add_constructor(
@@ -287,8 +285,9 @@ def _build_path_entry(
     if not isinstance(item, Mapping):
         build.diag(f"{template}: path item is not a mapping; treated as empty")
         item = {}
+    method_keys = _SWAGGER2_METHOD_KEYS if version_kind is VersionKind.SWAGGER2 else _METHOD_KEYS
     for dup in getattr(item, "duplicate_keys", []):
-        if str(dup).lower() in _METHOD_KEYS:
+        if str(dup).lower() in method_keys:
             build.diag(f"{template}: duplicate method {dup!r}; first occurrence kept")
 
     shared_params = _parameter_objects(item.get("parameters"), template, build)
@@ -298,7 +297,7 @@ def _build_path_entry(
 
     operations: dict[str, OperationRecord] = {}
     for key, value in item.items():
-        method = _METHOD_KEYS.get(key) if isinstance(key, str) else None
+        method = method_keys.get(key) if isinstance(key, str) else None
         if method is None:
             continue
         op = build.deref(value, f"{template}.{key}")

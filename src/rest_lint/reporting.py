@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import EmptyCorpus, UnsupportedFormat
-from .rules import RULE_ORDER, RuleId, Violation, coalesce
+from .rules import RULE_ORDER, RuleId, Violation
 
 FORMATS = ("text", "json", "csv")
 
@@ -40,8 +40,11 @@ class CorpusSummary:
 
 
 def build_report(spec_id: str, violations: Iterable[Violation]) -> LintReport:
-    """Assemble a report: coalesce duplicates, sort, count per rule."""
-    ordered = tuple(coalesce(violations))
+    """Assemble a report: sort, keep the first violation of each identity(), count per rule."""
+    unique: dict[tuple, Violation] = {}
+    for violation in sorted(violations, key=Violation.sort_key):
+        unique.setdefault(violation.identity(), violation)
+    ordered = tuple(unique.values())
     counts = {rule: 0 for rule in RULE_ORDER}
     for violation in ordered:
         counts[violation.rule] += 1

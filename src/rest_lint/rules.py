@@ -4,9 +4,9 @@ Every checker has one signature, check_x(spec, templates, cfg, lexicon),
 and is a pure function of those arguments: the immutable spec, its path
 templates tokenized and classified once, the rule config, and the word
 lexicon. It returns a list of violations. _CHECKERS maps each RuleId to
-its checker. run_rules classifies the templates, concatenates the
-enabled checkers' output, and hands it to coalesce, which sorts it
-deterministically and collapses exact duplicates.
+its checker. run_rules classifies the templates once and joins the
+enabled checkers' output in RULE_ORDER, unsorted and with duplicates
+kept; reporting.build_report sorts and coalesces it.
 """
 
 from __future__ import annotations
@@ -129,29 +129,19 @@ class RuleConfig:
 def run_rules(
     spec: ApiSpecification, cfg: RuleConfig, lexicon: WordLexicon
 ) -> list[Violation]:
-    """Run every enabled checker and return coalesced, sorted violations."""
-    overrides = {
-        path: mapping
-        for (sid, path), mapping in cfg.archetype_overrides.items()
-        if sid == spec.spec_id
-    }
+    """Run the enabled checkers; return their violations in RULE_ORDER, unsorted,
+    duplicates kept (build_report sorts and coalesces them)."""
     templates = {
-        raw: classify_archetypes(tokenize_path(raw), lexicon, overrides.get(raw))
+        raw: classify_archetypes(
+            tokenize_path(raw), lexicon, cfg.archetype_overrides.get((spec.spec_id, raw))
+        )
         for raw in spec.paths
     }
     collected: list[Violation] = []
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
             collected.extend(_CHECKERS[rule](spec, templates, cfg, lexicon))
-    return coalesce(collected)
-
-
-def coalesce(violations: Iterable[Violation]) -> list[Violation]:
-    """Sort deterministically and keep the first of each group of identical findings."""
-    unique: dict[tuple, Violation] = {}
-    for violation in sorted(violations, key=Violation.sort_key):
-        unique.setdefault(violation.identity(), violation)
-    return list(unique.values())
+    return collected
 
 
 def _operations(spec: ApiSpecification) -> Iterable[tuple[str, OperationRecord]]:

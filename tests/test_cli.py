@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, FIXTURES
-from rest_lint import ConfigError, RuleId
+from rest_lint import Archetype, ConfigError, RuleId
 from rest_lint.cli import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -66,8 +66,7 @@ class TestLoadConfig:
                 "spec_id": "s", "path": "/users/{id}/profiles",
                 "segment_index": 2, "archetype": "document"}],
         }))
-        entry = cfg.archetype_overrides[0]
-        assert entry.segment_index == 2 and entry.archetype.value == "document"
+        assert cfg.archetype_overrides[("s", "/users/{id}/profiles")] == {2: Archetype.DOCUMENT}
 
     def test_bad_override_archetype_is_error(self, tmp_path):
         with pytest.raises(ConfigError, match="archetype"):
@@ -119,6 +118,23 @@ class TestLintCommand:
         assert main(["lint", str(CREATE_USER), "--config", cfg]) == EXIT_VIOLATIONS
         out = capsys.readouterr().out
         assert "Hyphens" in out and "NoCRUDNames" not in out
+
+    @pytest.mark.parametrize("own_spec, code", [(True, EXIT_VIOLATIONS), (False, EXIT_CLEAN)])
+    def test_config_override_applies_to_its_own_spec_only(self, tmp_path, capsys, own_spec, code):
+        spec = tmp_path / "act.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "paths": {"/users/{id}/activation": {"post": {
+                "summary": "Activate a user",
+                "parameters": [{"name": "id", "in": "path", "required": True,
+                                "schema": {"type": "string"}}],
+                "responses": {"204": {"description": "Activated"}}}}},
+        }), encoding="utf-8")
+        cfg = write_config(tmp_path, {"archetype_overrides": [{
+            "spec_id": str(spec) if own_spec else "other.json",
+            "path": "/users/{id}/activation", "segment_index": 2, "archetype": "controller"}]})
+        assert main(["lint", str(spec), "--config", cfg]) == code
+        assert ("VerbController 'activation'" in capsys.readouterr().out) is own_spec
 
     def test_config_typo_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"enabled_rules": ["Hyphen"]})

@@ -57,6 +57,15 @@ class TestLoadBasics:
         assert list(spec.paths["/users"].operations) == ["GET", "TRACE"]
         assert spec.diagnostics == ()
 
+    def test_swagger2_trace_is_not_an_operation(self):
+        raw = (b"swagger: '2.0'\ninfo: {title: T, version: '1'}\npaths:\n  /users:\n"
+               b"    get: {responses: {'200': {description: OK}}}\n"
+               b"    trace: {responses: {'200': {description: OK}}}\n"
+               b"    trace: {responses: {'200': {description: OK}}}\n")
+        spec = load_spec(raw, "trace")
+        assert list(spec.paths["/users"].operations) == ["GET"]
+        assert spec.diagnostics == ()
+
     def test_accepts_binary_stream(self):
         spec = load_spec(io.BytesIO(MINIMAL_V3), "stream")
         assert spec.spec_id == "stream"
@@ -232,24 +241,38 @@ class TestSecurity:
 
 
 class TestDiagnostics:
-    def test_duplicate_path_keeps_first(self):
-        raw = (
+    @pytest.mark.parametrize("raw", [
+        pytest.param(
             b'{"openapi":"3.0.0","info":{"title":"T"},"paths":{'
             b'"/users":{"get":{"responses":{"200":{"description":"first"}}}},'
-            b'"/users":{"get":{"responses":{"200":{"description":"second"}}}}}}'
-        )
+            b'"/users":{"get":{"responses":{"200":{"description":"second"}}}}}}',
+            id="json"),
+        pytest.param(
+            b"openapi: 3.0.0\ninfo: {title: T}\npaths:\n"
+            b"  /users:\n    get:\n      responses:\n        '200': {description: first}\n"
+            b"  /users:\n    get:\n      responses:\n        '200': {description: second}\n",
+            id="yaml"),
+    ])
+    def test_duplicate_path_keeps_first(self, raw):
         spec = load_spec(raw, "dup")
         assert list(spec.paths) == ["/users"]
         op = spec.paths["/users"].operations["GET"]
         assert op.responses["200"].description == "first"
         assert any("duplicate path" in d for d in spec.diagnostics)
 
-    def test_duplicate_method_yaml_keeps_first(self):
-        raw = (
+    @pytest.mark.parametrize("raw", [
+        pytest.param(
+            b'{"openapi":"3.0.0","info":{"title":"T"},"paths":{"/users":{'
+            b'"get":{"responses":{"200":{"description":"first"}}},'
+            b'"get":{"responses":{"200":{"description":"second"}}}}}}',
+            id="json"),
+        pytest.param(
             b"openapi: 3.0.0\ninfo: {title: T}\npaths:\n  /users:\n"
             b"    get:\n      responses:\n        '200': {description: first}\n"
-            b"    get:\n      responses:\n        '200': {description: second}\n"
-        )
+            b"    get:\n      responses:\n        '200': {description: second}\n",
+            id="yaml"),
+    ])
+    def test_duplicate_method_keeps_first(self, raw):
         spec = load_spec(raw, "dup")
         assert spec.paths["/users"].operations["GET"].responses["200"].description == "first"
         assert any("duplicate method" in d for d in spec.diagnostics)

@@ -12,6 +12,7 @@ from rest_lint import (
     RuleConfig,
     RuleId,
     Violation,
+    build_report,
     default_lexicon,
     load_spec,
     load_spec_file,
@@ -357,7 +358,8 @@ class TestRunRules:
         first = run_rules(spec, RuleConfig(), LEX)
         second = run_rules(spec, RuleConfig(), LEX)
         assert first == second
-        assert first == sorted(first, key=lambda v: v.sort_key())
+        ordered = list(build_report("t", first).violations)
+        assert ordered == sorted(ordered, key=lambda v: v.sort_key())
 
     def test_disabling_one_rule_removes_exactly_its_violations(self, corpus_labels, lexicon):
         for entry in corpus_labels:
@@ -372,7 +374,7 @@ class TestRunRules:
 
     def test_exact_duplicates_coalesce(self):
         spec = make_spec({"/create/create": {"post": get_op()}})
-        violations = [v for v in run_rules(spec, RuleConfig(), LEX)
+        violations = [v for v in build_report("t", run_rules(spec, RuleConfig(), LEX)).violations
                       if v.rule is RuleId.NO_CRUD_NAMES]
         # both segments carry the same token; identical tuples collapse
         assert len(violations) == 1
