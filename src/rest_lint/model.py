@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Mapping
+from typing import Any, BinaryIO, Iterable, Mapping
 
 import yaml
 
@@ -134,6 +134,59 @@ class _DupSafeLoader(yaml.SafeLoader):
     pass
 
 
+if yaml.__with_libyaml__:
+
+    class _DupCLoader(yaml.composer.Composer, yaml.CSafeLoader):
+        """LibYAML's event parser under the pure-Python composer.
+
+        CSafeLoader's own composer is C code that recurses without a depth
+        check, so deeply nested input crashes the interpreter; the Python
+        composer raises RecursionError instead.
+        """
+
+        def __init__(self, stream: str) -> None:
+            yaml.CSafeLoader.__init__(self, stream)
+            yaml.composer.Composer.__init__(self)
+
+        def compose_sequence_node(self, anchor: str | None) -> yaml.SequenceNode:
+            node = super().compose_sequence_node(anchor)
+            if node.flow_style:
+                _reject_flow_scalars(node.value)
+            return node
+
+        def compose_mapping_node(self, anchor: str | None) -> yaml.MappingNode:
+            node = super().compose_mapping_node(anchor)
+            if node.flow_style:
+                _reject_flow_scalars(n for pair in node.value for n in pair)
+            return node
+
+    # Tried in order; the last is the pure-Python loader whose error stands.
+    _YAML_LOADERS: tuple[type, ...] = (_DupCLoader, _DupSafeLoader)
+else:
+    _YAML_LOADERS = (_DupSafeLoader,)
+
+# LibYAML reads tabs and a byte order mark inside the text where the
+# pure-Python scanner fails or reads otherwise (a tab between tokens or
+# inside a plain scalar). Text with either is left to the pure-Python loader.
+_PURE_PYTHON_CHARS = "\t\ufeff"
+
+
+def _reject_flow_scalars(nodes: Iterable[yaml.Node]) -> None:
+    """Fail on a plain scalar in a flow collection that holds "?" or is empty.
+
+    LibYAML reads "?" inside a plain scalar there, where the pure-Python
+    scanner ends the scalar and fails, and it reads "[?]]" as a whole
+    document. Failing here leaves such text to the pure-Python loader.
+    """
+    for node in nodes:
+        if isinstance(node, yaml.ScalarNode) and not node.style and (
+            not node.value or "?" in node.value
+        ):
+            raise yaml.composer.ComposerError(
+                problem="plain scalar LibYAML may read otherwise", problem_mark=node.start_mark
+            )
+
+
 def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
     pairs = []
     for key_node, value_node in node.value:
@@ -146,9 +199,23 @@ def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
     return _keyed_from_pairs(pairs)
 
 
-_DupSafeLoader.add_constructor(
-    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
-)
+for _loader in _YAML_LOADERS:
+    _loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
+
+
+def _load_yaml(text: str) -> Any:
+    """Parse with the first loader that succeeds, else fail as the last one does.
+
+    LibYAML words some errors differently from the pure-Python parser, so a
+    failed fast parse is parsed again and every diagnostic keeps one wording.
+    """
+    if not any(char in text for char in _PURE_PYTHON_CHARS):
+        for loader in _YAML_LOADERS[:-1]:
+            try:
+                return yaml.load(text, Loader=loader)
+            except Exception:
+                pass
+    return yaml.load(text, Loader=_YAML_LOADERS[-1])
 
 
 def _parse_document(data: bytes) -> Any:
@@ -159,21 +226,24 @@ def _parse_document(data: bytes) -> Any:
 
     try:
         return json.loads(text, object_pairs_hook=_keyed_from_pairs)
-    except json.JSONDecodeError as json_exc:
-        try:
-            return yaml.load(text, Loader=_DupSafeLoader)
-        except Exception as yaml_exc:  # parser layer: any failure is a parse error
-            if text.lstrip()[:1] in ("{", "["):
-                raise ParseError(
-                    f"invalid JSON: {json_exc.msg}",
-                    position=f"line {json_exc.lineno} column {json_exc.colno}",
-                ) from json_exc
-            mark = getattr(yaml_exc, "problem_mark", None)
-            position = f"line {mark.line + 1} column {mark.column + 1}" if mark else None
-            problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
-            raise ParseError(f"invalid YAML: {problem}", position=position) from yaml_exc
+    except json.JSONDecodeError as exc:
+        json_exc = exc
     except RecursionError as exc:
         raise ParseError("document nesting too deep") from exc
+    try:
+        return _load_yaml(text)
+    except RecursionError as exc:
+        raise ParseError("document nesting too deep") from exc
+    except Exception as yaml_exc:  # parser layer: any other failure is a parse error
+        if text.lstrip()[:1] in ("{", "["):
+            raise ParseError(
+                f"invalid JSON: {json_exc.msg}",
+                position=f"line {json_exc.lineno} column {json_exc.colno}",
+            ) from json_exc
+        mark = getattr(yaml_exc, "problem_mark", None)
+        position = f"line {mark.line + 1} column {mark.column + 1}" if mark else None
+        problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
+        raise ParseError(f"invalid YAML: {problem}", position=position) from yaml_exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import CORPUS, FIXTURES
-from rest_lint import Archetype, ConfigError, RuleId
+from rest_lint import Archetype, ConfigError, RuleId, model
 from rest_lint.cli import (
     EXIT_CLEAN,
     EXIT_ERROR,
@@ -22,6 +25,7 @@ from rest_lint.cli import (
 CLEAN = CORPUS / "clean.yaml"
 CREATE_USER = CORPUS / "create_user.json"
 GOLDEN = FIXTURES / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path: Path, doc: dict) -> str:
@@ -175,6 +179,30 @@ class TestLintCommand:
         monkeypatch.chdir(CORPUS)
         assert main(["lint", "--format", fmt, *specs]) == EXIT_VIOLATIONS
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("fmt,golden", [("text", "lint.txt"), ("json", "lint.json")])
+    def test_pure_python_yaml_output_matches_golden(self, fmt, golden, capsys, monkeypatch):
+        # What an install whose PyYAML lacks LibYAML runs.
+        monkeypatch.setattr(model, "_YAML_LOADERS", (model._DupSafeLoader,))
+        self.test_corpus_output_matches_golden(fmt, golden, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("text", [
+        "a: " + "[" * 100_000 + "]" * 100_000,
+        "- " * 200_000 + "x",
+        "a: " + "{b: " * 50_000 + "}" * 50_000,
+    ], ids=["flow-sequences", "block-sequences", "flow-mappings"])
+    def test_deep_yaml_exits_two_without_crashing(self, tmp_path, text):
+        # LibYAML's own composer overflows the C stack on these; a subprocess
+        # makes such a crash fail the test instead of killing the suite.
+        target = tmp_path / "deep.yaml"
+        target.write_text(text, encoding="utf-8")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rest_lint.cli", "lint", str(target)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
+        assert proc.stderr == f"{target}: document nesting too deep\n"
 
 
 def build_corpus(tmp_path: Path) -> Path:

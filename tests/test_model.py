@@ -6,7 +6,9 @@ import io
 import json
 
 import pytest
+import yaml
 
+from conftest import CORPUS
 from rest_lint import (
     NotAnApiSpec,
     ParseError,
@@ -14,9 +16,11 @@ from rest_lint import (
     effective_security,
     load_spec,
     load_spec_file,
+    model,
     spec_from_dict,
     spec_to_dict,
 )
+from test_acceptance import _fuzzed_inputs
 
 MINIMAL_V3 = b"""
 {
@@ -419,3 +423,69 @@ class TestQueryParameters:
         entry = spec.paths["/users"]
         assert entry.path_level_parameters == ("tenant",)
         assert entry.operations["GET"].query_parameter_names == ("tenant", "page")
+
+
+def _duplicate_keys(doc, seen=None) -> list:
+    """Every mapping's duplicate_keys, in document order (aliases may cycle)."""
+    seen = set() if seen is None else seen
+    if not isinstance(doc, (dict, list)) or id(doc) in seen:
+        return []
+    seen.add(id(doc))
+    found = [list(doc.duplicate_keys)] if isinstance(doc, dict) else []
+    for child in doc.values() if isinstance(doc, dict) else doc:
+        found += _duplicate_keys(child, seen)
+    return found
+
+
+def _parsed(data: bytes) -> tuple:
+    try:
+        doc = model._parse_document(data)
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)
+    return ("document", repr(doc), _duplicate_keys(doc))
+
+
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks LibYAML")
+
+# Text that LibYAML reads and the pure-Python scanner rejects or reads otherwise.
+LIBYAML_DIVERGENCES = [
+    b"a: x\tb\n",
+    b"a: b\t# comment\n",
+    b"a: b\n\xef\xbb\xbfc: d\n",
+    b"a: [what?]\n",
+    b"a: {url: http://x?y=1}\n",
+    b"a: [x, {y: z?}]\n",
+    b"a: [?]]\n",
+    # ...and text close to those that both read alike.
+    b"a: 'x\ty'\n",
+    b"a: what? yes\n",
+    b"a: [x, ?y, 'z?']\n",
+    b"a: {b: , c: []}\n",
+]
+
+
+class TestYamlLoaders:
+    @pytest.mark.parametrize("raw", [
+        b"a: " + b"[" * 5000 + b"]" * 5000,
+        b"[" * 5000 + b"]" * 5000,
+    ], ids=["yaml", "json"])
+    def test_deep_nesting_is_a_parse_error(self, raw):
+        with pytest.raises(ParseError) as exc:
+            load_spec(raw, "deep")
+        assert str(exc.value) == "document nesting too deep"
+
+    @needs_libyaml
+    def test_c_and_pure_python_loaders_agree_on_fixture_corpus(self):
+        for path in sorted(CORPUS.glob("*.yaml")):
+            text = path.read_text(encoding="utf-8")
+            fast = yaml.load(text, Loader=model._DupCLoader)
+            pure = yaml.load(text, Loader=model._DupSafeLoader)
+            assert repr(fast) == repr(pure), path.name
+            assert _duplicate_keys(fast) == _duplicate_keys(pure), path.name
+
+    @needs_libyaml
+    def test_parse_matches_pure_python_parse(self, monkeypatch):
+        samples = _fuzzed_inputs(1000) + LIBYAML_DIVERGENCES
+        with_libyaml = [_parsed(data) for data in samples]
+        monkeypatch.setattr(model, "_YAML_LOADERS", (model._DupSafeLoader,))
+        assert [_parsed(data) for data in samples] == with_libyaml
