@@ -8,12 +8,13 @@ remaining files from being processed).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
 from .lexicon import WordLexicon, default_lexicon, load_lexicon
@@ -29,6 +30,8 @@ _SPEC_SUFFIXES = (".json", ".yaml", ".yml")
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -154,23 +157,32 @@ def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:
     return default_lexicon()
 
 
+def _collecting_after_each(items: Iterable[_T]) -> Iterator[_T]:
+    """Yield each item; once the loop body is done with it, however it ended,
+    collect the youngest generation, which with automatic collection off
+    holds only what that item's processing left."""
+    for item in items:
+        yield item
+        gc.collect(0)
+
+
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
     """Lint each file and write rendered reports to stdout."""
     lexicon = _resolve_lexicon(cfg)
     rule_cfg = to_rule_config(cfg)
     any_violation = False
     any_error = False
-    for path in paths:
+    for path in _collecting_after_each(paths):
         try:
             spec = load_spec_file(path)
         except (OSError, ParseError, NotAnApiSpec) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             any_error = True
             continue
-        violations = run_rules(spec, rule_cfg, lexicon)
-        report = build_report(spec.spec_id, violations)
+        report = build_report(spec.spec_id, run_rules(spec, rule_cfg, lexicon))
         sys.stdout.write(render(report, cfg.output_format).decode("utf-8"))
-        any_violation = any_violation or bool(violations)
+        any_violation = any_violation or bool(report.violations)
+        del spec, report  # freed now, the file's collection walks only what outlives it
     if any_error:
         return EXIT_ERROR
     return EXIT_VIOLATIONS if any_violation else EXIT_CLEAN
@@ -198,7 +210,7 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
             p for p in project.rglob("*") if p.is_file() and p.suffix in _SPEC_SUFFIXES
         )
         violations = []
-        for file in files:
+        for file in _collecting_after_each(files):
             try:
                 spec = load_spec(file.read_bytes(), spec_id=project.name)
             except NotAnApiSpec:
@@ -241,8 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # Loading, linting and rendering make no reference cycles, so reference
+    # counting frees their garbage and automatic collections would only walk
+    # the growing heap again and again. The commands collect once per file
+    # instead, which frees the cycles a self-referencing YAML anchor makes.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.format:
             cfg = replace(cfg, output_format=args.format)
@@ -255,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,9 +12,10 @@ from __future__ import annotations
 import enum
 import json
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Mapping
+from typing import Any, BinaryIO
 
 import yaml
 
@@ -114,19 +115,21 @@ class _KeyedDict(dict):
     """Mapping that keeps the first value for a duplicated key and records it."""
 
     __slots__ = ("duplicate_keys",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.duplicate_keys: list[Any] = []
+    duplicate_keys: tuple[Any, ...]
 
 
 def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
-    mapping = _KeyedDict()
-    for key, value in pairs:
-        if key in mapping:
-            mapping.duplicate_keys.append(key)
-        else:
-            mapping[key] = value
+    mapping = _KeyedDict(pairs)  # keeps the last value of a repeated key
+    mapping.duplicate_keys = ()
+    if len(mapping) != len(pairs):
+        mapping = _KeyedDict()
+        duplicates = []
+        for key, value in pairs:
+            if key in mapping:
+                duplicates.append(key)
+            else:
+                mapping[key] = value
+        mapping.duplicate_keys = tuple(duplicates)
     return mapping
 
 
@@ -227,7 +230,10 @@ def _parse_document(data: bytes) -> Any:
     try:
         return json.loads(text, object_pairs_hook=_keyed_from_pairs)
     except json.JSONDecodeError as exc:
-        json_exc = exc
+        # Keep the message, not the exception: its traceback holds this frame, so
+        # binding it here would make a reference cycle that keeps the YAML
+        # document parsed below alive until a full garbage collection.
+        json_error = (exc.msg, exc.lineno, exc.colno)
     except RecursionError as exc:
         raise ParseError("document nesting too deep") from exc
     try:
@@ -236,10 +242,10 @@ def _parse_document(data: bytes) -> Any:
         raise ParseError("document nesting too deep") from exc
     except Exception as yaml_exc:  # parser layer: any other failure is a parse error
         if text.lstrip()[:1] in ("{", "["):
+            msg, line, column = json_error
             raise ParseError(
-                f"invalid JSON: {json_exc.msg}",
-                position=f"line {json_exc.lineno} column {json_exc.colno}",
-            ) from json_exc
+                f"invalid JSON: {msg}", position=f"line {line} column {column}"
+            ) from yaml_exc
         mark = getattr(yaml_exc, "problem_mark", None)
         position = f"line {mark.line + 1} column {mark.column + 1}" if mark else None
         problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"

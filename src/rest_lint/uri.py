@@ -9,7 +9,7 @@ drives which naming rules apply to which segment.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
@@ -189,6 +189,14 @@ def classify_archetypes(
             archetype = Archetype.COLLECTION
         else:
             archetype = Archetype.DOCUMENT
-        classified.append(seg if seg.archetype is archetype else replace(seg, archetype=archetype))
+        if seg.archetype is not archetype:
+            seg = Segment(seg.kind, seg.raw, seg.name, seg.words, seg.boundary_kinds, archetype)
+        classified.append(seg)
 
-    return replace(path, segments=tuple(classified))
+    return PathTemplate(
+        path.raw,
+        tuple(classified),
+        path.has_leading_slash,
+        path.has_trailing_slash,
+        path.has_empty_segment,
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -24,6 +25,18 @@ CORPUS = FIXTURES / "corpus"
 @pytest.fixture(scope="session")
 def lexicon():
     return default_lexicon()
+
+
+@pytest.fixture
+def collector_off():
+    """Automatic garbage collection off for the test, starting from an empty heap
+    of garbage; the collector's state is restored afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 @pytest.fixture(scope="session")

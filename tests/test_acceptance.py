@@ -6,6 +6,7 @@ line per criterion.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import shutil
@@ -184,6 +185,21 @@ def test_deterministic_output(tmp_path, capsys, corpus_labels, lexicon):
         rng.shuffle(reports)
         assert aggregate(reports, total_projects=len(reports)) == baseline
     print("ACCEPTANCE determinism: PASS")
+
+
+def test_pipeline_leaves_no_cyclic_garbage(collector_off, lexicon):
+    """Every object loading, linting and rendering makes is freed by reference
+    counting, so the CLI can run with automatic collection off."""
+    for path in sorted(CORPUS.iterdir()):
+        try:
+            spec = load_spec(path.read_bytes(), path.name)
+        except NotAnApiSpec:
+            pass
+        else:
+            report = build_report(spec.spec_id, run_rules(spec, RuleConfig(), lexicon))
+            for fmt in ("text", "json"):
+                render(report, fmt)
+        assert gc.collect() == 0, path.name
 
 
 def _fuzzed_inputs(count: int) -> list[bytes]:

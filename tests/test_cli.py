@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import os
 import shutil
@@ -297,3 +299,36 @@ class TestAggregateCommand:
         main(["aggregate", str(root), "--format", "csv"])
         out = capsys.readouterr().out
         assert "NoCRUDNames,1,1,100" in out
+
+
+class TestGarbageCollection:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv", [
+        ["lint", str(CLEAN)],
+        ["lint", "--format", "csv", str(CLEAN)],  # argparse exits
+    ], ids=["lint", "usage-error"])
+    def test_main_restores_collector_state(self, enabled, argv, capsys):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with contextlib.suppress(SystemExit):
+                main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_aggregate_leaves_no_cyclic_garbage(self, tmp_path, capsys, collector_off):
+        # A self-referencing YAML anchor makes a reference cycle, in the node
+        # graph of a failed parse and in the data of a skipped non-spec file;
+        # both come after the last linted file, so only a collection on the
+        # error and skip paths frees them.
+        root = tmp_path / "corpus"
+        (root / "p1").mkdir(parents=True)
+        shutil.copy(CREATE_USER, root / "p1" / "api.json")
+        shutil.copy(CLEAN, root / "p1" / "api.yaml")
+        (root / "p1" / "broken.yaml").write_text("a: &x [*x]\nb: [\n", encoding="utf-8")
+        (root / "p1" / "settings.yaml").write_text("&x [*x]\n", encoding="utf-8")
+        assert main(["aggregate", str(root)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "broken.yaml" in err and "skipping" in err
+        assert gc.collect() == 0

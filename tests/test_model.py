@@ -7,6 +7,8 @@ import json
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from rest_lint import (
@@ -489,3 +491,43 @@ class TestYamlLoaders:
         with_libyaml = [_parsed(data) for data in samples]
         monkeypatch.setattr(model, "_YAML_LOADERS", (model._DupSafeLoader,))
         assert [_parsed(data) for data in samples] == with_libyaml
+
+
+# Few distinct keys, so that lists of pairs often repeat one.
+_KEYS = st.sampled_from(["a", "b", "c", "paths", "get"])
+_PAIRS = st.lists(st.tuples(_KEYS, st.integers(-9, 9)), max_size=10)
+
+
+def _keep_first(pairs: list) -> tuple[dict, list]:
+    kept, repeats = {}, []
+    for key, value in pairs:
+        if key in kept:
+            repeats.append(key)
+        else:
+            kept[key] = value
+    return kept, repeats
+
+
+class TestDuplicateKeys:
+    @given(st.lists(st.tuples(st.one_of(_KEYS, st.integers(0, 3)), st.integers()), max_size=12))
+    def test_keyed_from_pairs_keeps_first_and_records_repeats(self, pairs):
+        kept, repeats = _keep_first(pairs)
+        mapping = model._keyed_from_pairs(pairs)
+        assert list(mapping.items()) == list(kept.items())
+        assert list(mapping.duplicate_keys) == repeats
+
+    @given(st.lists(st.tuples(_KEYS, st.one_of(st.integers(-9, 9), _PAIRS)), max_size=8))
+    def test_json_and_yaml_record_the_same_duplicates(self, pairs):
+        def flow(pairs: list) -> str:
+            return "{" + ", ".join(f'"{k}": {value(v)}' for k, v in pairs) + "}"
+
+        def value(v) -> str:
+            return flow(v) if isinstance(v, list) else str(v)
+
+        as_json = flow(pairs).encode()
+        as_yaml = "".join(f'"{k}": {value(v)}\n' for k, v in pairs).encode() or b"{}"
+        from_json = model._parse_document(as_json)
+        from_yaml = model._parse_document(as_yaml)
+        assert from_json == from_yaml
+        assert _duplicate_keys(from_json) == _duplicate_keys(from_yaml)
+        assert list(from_json.duplicate_keys) == _keep_first(pairs)[1]
