@@ -21,7 +21,6 @@ from .lexicon import (
     crud_method_of,
     default_lexicon,
     is_plural,
-    is_singular,
     is_verb,
     load_lexicon,
     parse_lexicon,
@@ -30,13 +29,10 @@ from .model import (
     ApiSpecification,
     OperationRecord,
     PathEntry,
-    ResponseRecord,
     VersionKind,
     effective_security,
     load_spec,
     load_spec_file,
-    spec_from_dict,
-    spec_to_dict,
 )
 from .reporting import (
     CorpusSummary,
@@ -83,7 +79,6 @@ __all__ = [
     "PathEntry",
     "PathTemplate",
     "RestLintError",
-    "ResponseRecord",
     "RULE_ORDER",
     "RuleConfig",
     "RuleId",
@@ -101,7 +96,6 @@ __all__ = [
     "default_lexicon",
     "effective_security",
     "is_plural",
-    "is_singular",
     "is_verb",
     "load_lexicon",
     "load_spec",
@@ -109,8 +103,6 @@ __all__ = [
     "parse_lexicon",
     "render",
     "run_rules",
-    "spec_from_dict",
-    "spec_to_dict",
     "split_words",
     "tokenize_path",
 ]

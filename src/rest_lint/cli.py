@@ -104,7 +104,11 @@ def load_config(path: str | Path | None = None) -> LintConfig:
         overrides: dict[tuple[str, str], dict[int, Archetype]] = {}
         for i, entry in enumerate(entries):
             spec_id, path, segment_index, archetype = _parse_override(entry, i)
-            overrides.setdefault((spec_id, path), {})[segment_index] = archetype
+            pinned = overrides.setdefault((spec_id, path), {})
+            if segment_index in pinned:
+                raise ConfigError(f"archetype_overrides[{i}]: segment {segment_index} of "
+                                  f"{path!r} in {spec_id!r} is already overridden")
+            pinned[segment_index] = archetype
         cfg = replace(cfg, archetype_overrides=overrides)
 
     return cfg
@@ -127,8 +131,9 @@ def _parse_override(entry: object, index: int) -> tuple[str, str, int, Archetype
         raise ConfigError(f"{where}: missing field(s): {', '.join(sorted(missing))}")
     if not isinstance(entry["spec_id"], str) or not isinstance(entry["path"], str):
         raise ConfigError(f"{where}: spec_id and path must be strings")
-    if not isinstance(entry["segment_index"], int) or isinstance(entry["segment_index"], bool):
-        raise ConfigError(f"{where}: segment_index must be an integer")
+    segment_index = entry["segment_index"]
+    if not isinstance(segment_index, int) or isinstance(segment_index, bool) or segment_index < 0:
+        raise ConfigError(f"{where}: segment_index must be a non-negative integer")
     try:
         archetype = Archetype(entry["archetype"])
     except ValueError:
@@ -136,7 +141,7 @@ def _parse_override(entry: object, index: int) -> tuple[str, str, int, Archetype
         raise ConfigError(
             f"{where}: unknown archetype {entry['archetype']!r} (valid: {valid})"
         ) from None
-    return entry["spec_id"], entry["path"], entry["segment_index"], archetype
+    return entry["spec_id"], entry["path"], segment_index, archetype
 
 
 def to_rule_config(cfg: LintConfig) -> RuleConfig:

@@ -59,10 +59,6 @@ def is_plural(word: str, lexicon: WordLexicon) -> bool:
     return word.endswith("s") and not word.endswith(("ss", "us", "is"))
 
 
-def is_singular(word: str, lexicon: WordLexicon) -> bool:
-    return not is_plural(word, lexicon)
-
-
 def is_verb(word: str, lexicon: WordLexicon) -> bool:
     return word in lexicon.verb_set or word in lexicon.crud_token_to_method
 

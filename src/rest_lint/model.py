@@ -1,10 +1,15 @@
 """Normalized model of an OpenAPI/Swagger document.
 
 Both Swagger 2.0 and OpenAPI 3.x inputs (JSON or YAML) are loaded into
-one internal shape so rule checkers are written once. Loading degrades
-gracefully: structural oddities (duplicate paths, missing responses,
-unresolvable references) become diagnostics instead of hard failures.
-The model is immutable after load and safe to share across checkers.
+one internal shape so rule checkers are written once. Besides the spec
+id, the input's version and the loader's diagnostics, the model holds
+only the facts the checkers read: path templates, each operation's
+method, operationId, summary and description, request media types,
+response status keys with their media types, query parameter names and
+security requirements. Loading degrades gracefully: structural oddities (duplicate paths,
+missing responses, unresolvable references) become diagnostics instead
+of hard failures. The model is immutable after load and safe to share
+across checkers.
 """
 
 from __future__ import annotations
@@ -38,13 +43,6 @@ class VersionKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ResponseRecord:
-    status_key: str
-    description: str | None
-    media_types: frozenset[str]
-
-
-@dataclass(frozen=True)
 class OperationRecord:
     method: str
     operation_id: str | None
@@ -52,27 +50,23 @@ class OperationRecord:
     description: str | None
     has_request_body: bool
     request_media_types: frozenset[str]
-    responses: dict[str, ResponseRecord]
+    responses: dict[str, frozenset[str]]  # status key -> declared media types
     security: tuple[str, ...] | None  # None = inherit global; () = explicit opt-out
     query_parameter_names: tuple[str, ...]
-    no_responses_declared: bool = False
 
 
 @dataclass(frozen=True)
 class PathEntry:
     template: str
     operations: dict[str, OperationRecord]
-    path_level_parameters: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class ApiSpecification:
     spec_id: str
-    title: str
     version_kind: VersionKind
     paths: dict[str, PathEntry]
     global_security: tuple[str, ...]
-    security_schemes: frozenset[str]
     diagnostics: tuple[str, ...] = ()
 
 
@@ -191,15 +185,34 @@ def _reject_flow_scalars(nodes: Iterable[yaml.Node]) -> None:
 
 
 def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
-    pairs = []
+    """Keep-first mapping; "<<" merge keys add only keys the mapping lacks.
+
+    Explicit keys win over merged ones wherever they stand, and of merged
+    mappings the earlier one wins, so a merged key is never a duplicate.
+    """
+    pairs, merged = [], []
     for key_node, value_node in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            is_list = isinstance(value_node, yaml.SequenceNode)
+            sources = value_node.value if is_list else [value_node]
+            if not all(isinstance(source, yaml.MappingNode) for source in sources):
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "expected a mapping or list of mappings for merging", value_node.start_mark,
+                )
+            merged.extend(loader.construct_object(source, deep=True) for source in sources)
+            continue
         key = loader.construct_object(key_node, deep=True)
         try:
             hash(key)
         except TypeError:
             key = str(key)
         pairs.append((key, loader.construct_object(value_node, deep=True)))
-    return _keyed_from_pairs(pairs)
+    mapping = _keyed_from_pairs(pairs)
+    for source in merged:
+        for key, value in source.items():
+            mapping.setdefault(key, value)
+    return mapping
 
 
 for _loader in _YAML_LOADERS:
@@ -307,12 +320,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
             f"{spec_id}: no 'paths' section and no 'swagger'/'openapi' version marker"
         )
 
-    info = doc.get("info")
-    title = info.get("title") if isinstance(info, Mapping) else None
-    title = title if isinstance(title, str) else ""
-
     global_security = _requirement_names(doc.get("security"))
-    security_schemes = _scheme_names(doc, version_kind, build)
 
     root_consumes = _media_list(doc.get("consumes"), "root consumes", build)
     root_produces = _media_list(doc.get("produces"), "root produces", build)
@@ -340,11 +348,9 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
 
     return ApiSpecification(
         spec_id=spec_id,
-        title=title,
         version_kind=version_kind,
         paths=paths,
         global_security=global_security,
-        security_schemes=security_schemes,
         diagnostics=tuple(build.diagnostics),
     )
 
@@ -367,9 +373,6 @@ def _build_path_entry(
             build.diag(f"{template}: duplicate method {dup!r}; first occurrence kept")
 
     shared_params = _parameter_objects(item.get("parameters"), template, build)
-    path_level_names = tuple(
-        str(p.get("name")) for p in shared_params if p.get("name") is not None
-    )
 
     operations: dict[str, OperationRecord] = {}
     for key, value in item.items():
@@ -385,11 +388,7 @@ def _build_path_entry(
             root_consumes, root_produces, build,
         )
 
-    return PathEntry(
-        template=template,
-        operations=operations,
-        path_level_parameters=path_level_names,
-    )
+    return PathEntry(template=template, operations=operations)
 
 
 def _build_operation(
@@ -432,7 +431,7 @@ def _build_operation(
         has_body = raw_body is not None
         request_media = _content_media(body, f"{where} requestBody", build)
 
-    responses: dict[str, ResponseRecord] = {}
+    responses: dict[str, frozenset[str]] = {}
     raw_responses = op.get("responses")
     if isinstance(raw_responses, Mapping):
         for status, value in raw_responses.items():
@@ -444,23 +443,14 @@ def _build_operation(
                 build.diag(f"{where}: duplicate response status {key!r}; first kept")
                 continue
             resp = build.deref(value, f"{where} {key}")
-            if not isinstance(resp, Mapping):
-                resp = {}
-            description = resp.get("description")
             if version_kind is VersionKind.SWAGGER2:
-                media = produces
+                responses[key] = produces
             else:
-                media = _content_media(resp, f"{where} {key}", build)
-            responses[key] = ResponseRecord(
-                status_key=key,
-                description=description if isinstance(description, str) else None,
-                media_types=media,
-            )
+                responses[key] = _content_media(resp, f"{where} {key}", build)
     elif raw_responses is not None:
         build.diag(f"{where}: 'responses' is not a mapping; treated as empty")
 
-    no_responses = not responses
-    if no_responses:
+    if not responses:
         build.diag(f"{where}: no responses declared")
 
     summary = op.get("summary")
@@ -476,7 +466,6 @@ def _build_operation(
         responses=responses,
         security=_requirement_names(op.get("security"), absent_is_none=True),
         query_parameter_names=tuple(query_names),
-        no_responses_declared=no_responses,
     )
 
 
@@ -500,20 +489,6 @@ def _requirement_names(value: Any, absent_is_none: bool = False) -> tuple[str, .
             if isinstance(requirement, Mapping):
                 names.extend(str(k) for k in requirement)
     return tuple(names)
-
-
-def _scheme_names(doc: Mapping[str, Any], kind: VersionKind, build: _Build) -> frozenset[str]:
-    if kind is VersionKind.SWAGGER2:
-        schemes = doc.get("securityDefinitions")
-    else:
-        components = doc.get("components")
-        schemes = components.get("securitySchemes") if isinstance(components, Mapping) else None
-    if schemes is None:
-        return frozenset()
-    if not isinstance(schemes, Mapping):
-        build.diag("security scheme declarations are not a mapping; ignored")
-        return frozenset()
-    return frozenset(str(k) for k in schemes)
 
 
 def _media_list(value: Any, context: str, build: _Build) -> frozenset[str]:
@@ -550,92 +525,3 @@ def _normalize_status_key(status: Any) -> str | None:
         return key
     upper = key.upper()
     return upper if _STATUS_KEY.match(upper) else None
-
-
-# ---------------------------------------------------------------------------
-# Diagnostic dump (debugging and round-trip tests only)
-# ---------------------------------------------------------------------------
-
-
-def spec_to_dict(spec: ApiSpecification) -> dict[str, Any]:
-    """JSON-safe dump of the internal model."""
-    return {
-        "spec_id": spec.spec_id,
-        "title": spec.title,
-        "version_kind": spec.version_kind.value,
-        "global_security": list(spec.global_security),
-        "security_schemes": sorted(spec.security_schemes),
-        "diagnostics": list(spec.diagnostics),
-        "paths": [
-            {
-                "template": entry.template,
-                "path_level_parameters": list(entry.path_level_parameters),
-                "operations": [
-                    {
-                        "method": op.method,
-                        "operation_id": op.operation_id,
-                        "summary": op.summary,
-                        "description": op.description,
-                        "has_request_body": op.has_request_body,
-                        "request_media_types": sorted(op.request_media_types),
-                        "security": None if op.security is None else list(op.security),
-                        "query_parameter_names": list(op.query_parameter_names),
-                        "no_responses_declared": op.no_responses_declared,
-                        "responses": [
-                            {
-                                "status_key": resp.status_key,
-                                "description": resp.description,
-                                "media_types": sorted(resp.media_types),
-                            }
-                            for resp in op.responses.values()
-                        ],
-                    }
-                    for op in entry.operations.values()
-                ],
-            }
-            for entry in spec.paths.values()
-        ],
-    }
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> ApiSpecification:
-    """Rebuild a model from its diagnostic dump."""
-    paths: dict[str, PathEntry] = {}
-    for entry in data["paths"]:
-        operations: dict[str, OperationRecord] = {}
-        for op in entry["operations"]:
-            responses = {
-                resp["status_key"]: ResponseRecord(
-                    status_key=resp["status_key"],
-                    description=resp["description"],
-                    media_types=frozenset(resp["media_types"]),
-                )
-                for resp in op["responses"]
-            }
-            security = op["security"]
-            operations[op["method"]] = OperationRecord(
-                method=op["method"],
-                operation_id=op["operation_id"],
-                summary=op["summary"],
-                description=op["description"],
-                has_request_body=op["has_request_body"],
-                request_media_types=frozenset(op["request_media_types"]),
-                responses=responses,
-                security=None if security is None else tuple(security),
-                query_parameter_names=tuple(op["query_parameter_names"]),
-                no_responses_declared=op["no_responses_declared"],
-            )
-        paths[entry["template"]] = PathEntry(
-            template=entry["template"],
-            operations=operations,
-            path_level_parameters=tuple(entry["path_level_parameters"]),
-        )
-    return ApiSpecification(
-        spec_id=data["spec_id"],
-        title=data["title"],
-        version_kind=VersionKind(data["version_kind"]),
-        paths=paths,
-        global_security=tuple(data["global_security"]),
-        security_schemes=frozenset(data["security_schemes"]),
-        diagnostics=tuple(data["diagnostics"]),
-    )

@@ -139,7 +139,9 @@ def _report_text(report: LintReport) -> bytes:
         if v.status_key is not None:
             location += f" [{v.status_key}]"
         lines.append(f"  {location} {v.rule.value} '{v.fragment}': {v.message}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # A lone surrogate, from an escape in the document or an undecodable file
+    # name, prints as the \udXXX escape that the json format also shows.
+    return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")
 
 
 def _summary_json(summary: CorpusSummary) -> bytes:

@@ -376,10 +376,10 @@ def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTempl
                 method=op.method, status_key=None, fragment="Content-Type",
                 message="request body declares no media type",
             ))
-        for status, resp in op.responses.items():
+        for status, media_types in op.responses.items():
             if status in _BODYLESS_STATUSES or status.startswith("1"):
                 continue
-            if not resp.media_types:
+            if not media_types:
                 out.append(Violation(
                     rule=RuleId.CONTENT_TYPE, spec_id=spec.spec_id, path=path,
                     method=op.method, status_key=status, fragment="Content-Type",

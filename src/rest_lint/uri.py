@@ -57,16 +57,8 @@ class Segment:
 class PathTemplate:
     raw: str
     segments: tuple[Segment, ...]
-    has_leading_slash: bool
     has_trailing_slash: bool
     has_empty_segment: bool
-
-    def reconstruct(self) -> str:
-        """Rebuild the raw template from the segment texts."""
-        body = "/".join(seg.raw for seg in self.segments)
-        lead = "/" if self.has_leading_slash else ""
-        trail = "/" if self.has_trailing_slash else ""
-        return lead + body + trail
 
 
 def split_words(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
@@ -121,9 +113,8 @@ def _transition_kind(prev: str, cur: str) -> str | None:
 
 def tokenize_path(raw: str) -> PathTemplate:
     """Tokenize a raw URI template. Total: every input yields a template."""
-    has_leading = raw.startswith("/")
     has_trailing = len(raw) > 1 and raw.endswith("/")
-    body = raw[1:] if has_leading else raw
+    body = raw[1:] if raw.startswith("/") else raw
     if has_trailing:
         body = body[:-1]
     parts = body.split("/") if body else []
@@ -140,7 +131,6 @@ def tokenize_path(raw: str) -> PathTemplate:
     return PathTemplate(
         raw=raw,
         segments=tuple(segments),
-        has_leading_slash=has_leading,
         has_trailing_slash=has_trailing,
         has_empty_segment="//" in raw,
     )
@@ -194,9 +184,5 @@ def classify_archetypes(
         classified.append(seg)
 
     return PathTemplate(
-        path.raw,
-        tuple(classified),
-        path.has_leading_slash,
-        path.has_trailing_slash,
-        path.has_empty_segment,
+        path.raw, tuple(classified), path.has_trailing_slash, path.has_empty_segment
     )

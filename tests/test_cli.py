@@ -36,6 +36,15 @@ def write_config(tmp_path: Path, doc: dict) -> str:
     return str(path)
 
 
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a subprocess, so that a crash fails the test, not the suite."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rest_lint.cli", *args],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config(None)
@@ -80,6 +89,21 @@ class TestLoadConfig:
                 "archetype_overrides": [{
                     "spec_id": "s", "path": "/x", "segment_index": 0,
                     "archetype": "thing"}],
+            }))
+
+    def test_negative_segment_index_is_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="segment_index must be a non-negative integer"):
+            load_config(write_config(tmp_path, {
+                "archetype_overrides": [{
+                    "spec_id": "s", "path": "/x", "segment_index": -1,
+                    "archetype": "document"}],
+            }))
+
+    def test_repeated_override_is_error(self, tmp_path):
+        entry = {"spec_id": "s", "path": "/x/y", "segment_index": 1, "archetype": "document"}
+        with pytest.raises(ConfigError, match=r"archetype_overrides\[1\]: segment 1 .* already"):
+            load_config(write_config(tmp_path, {
+                "archetype_overrides": [entry, {**entry, "archetype": "collection"}],
             }))
 
     def test_bad_output_format_is_error(self, tmp_path):
@@ -198,13 +222,53 @@ class TestLintCommand:
         # makes such a crash fail the test instead of killing the suite.
         target = tmp_path / "deep.yaml"
         target.write_text(text, encoding="utf-8")
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rest_lint.cli", "lint", str(target)],
-            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = run_cli("lint", str(target))
         assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
         assert proc.stderr == f"{target}: document nesting too deep\n"
+
+    @pytest.mark.parametrize("name, path, shown", [
+        ("api.json", "/Users\\ud800", "  /Users\\ud800 Lowercase 'Users\\ud800'"),
+        ("bad\udcff.json", "/users", "bad\\udcff.json: 1 violation\n"),
+    ], ids=["document-escape", "undecodable-file-name"])
+    def test_lone_surrogate_in_text_report_is_escaped(self, tmp_path, name, path, shown):
+        target = tmp_path / name
+        target.write_text('{"swagger": "2.0", "paths": {"%s": {"get": {"responses": {"200": {}}}}}}'
+                          % path, encoding="utf-8")
+        proc = run_cli("lint", "--format", "text", str(target))
+        assert proc.returncode == EXIT_VIOLATIONS, proc.stderr[-300:]
+        assert proc.stderr == ""
+        assert shown in proc.stdout
+
+    def test_yaml_merge_keys_lint_like_the_expanded_file(self, tmp_path, capsys, monkeypatch):
+        merged = (
+            "openapi: 3.0.0\ninfo: {title: T, version: '1'}\n"
+            "x-ok: &ok {description: OK, content: {application/json: {}}}\n"
+            "x-get: &get {summary: Delete users, responses: {'200': *ok}}\n"
+            "paths:\n"
+            "  /users: {get: {<<: *get, operationId: listUsers}}\n"
+            "  /User_list/:\n    get:\n      <<: [*get, {operationId: getAll, summary: Get}]\n"
+            "      summary: Remove users\n"
+        )
+        expanded = (
+            "openapi: 3.0.0\ninfo: {title: T, version: '1'}\n"
+            "paths:\n"
+            "  /users:\n    get:\n      summary: Delete users\n      operationId: listUsers\n"
+            "      responses: {'200': {description: OK, content: {application/json: {}}}}\n"
+            "  /User_list/:\n    get:\n      summary: Remove users\n      operationId: getAll\n"
+            "      responses: {'200': {description: OK, content: {application/json: {}}}}\n"
+        )
+        outputs = []
+        for directory, text in (("merged", merged), ("expanded", expanded)):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "api.yaml").write_text(text, encoding="utf-8")
+            monkeypatch.chdir(tmp_path / directory)
+            for fmt in ("text", "json"):
+                assert main(["lint", "--format", fmt, "api.yaml"]) == EXIT_VIOLATIONS
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                outputs.append(captured.out)
+        assert outputs[:2] == outputs[2:]
+        assert "Lowercase" in outputs[0] and "DescriptionType" in outputs[0]
 
 
 def build_corpus(tmp_path: Path) -> Path:

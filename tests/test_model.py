@@ -19,8 +19,6 @@ from rest_lint import (
     load_spec,
     load_spec_file,
     model,
-    spec_from_dict,
-    spec_to_dict,
 )
 from test_acceptance import _fuzzed_inputs
 
@@ -51,7 +49,7 @@ class TestLoadBasics:
         entry = spec.paths["/users"]
         assert list(entry.operations) == ["GET"]
         op = entry.operations["GET"]
-        assert op.responses["200"].media_types == frozenset({"application/json"})
+        assert op.responses["200"] == frozenset({"application/json"})
         assert not op.has_request_body
 
     def test_trace_operation_loaded(self):
@@ -130,7 +128,7 @@ class TestSwagger2Mapping:
         spec = load_spec(spec_bytes(doc), "v2")
         assert spec.version_kind is VersionKind.SWAGGER2
         op = spec.paths["/things"].operations["GET"]
-        assert op.responses["200"].media_types == frozenset({"application/json"})
+        assert op.responses["200"] == frozenset({"application/json"})
 
     def test_operation_produces_overrides_root(self):
         doc = {
@@ -147,7 +145,7 @@ class TestSwagger2Mapping:
             },
         }
         op = load_spec(spec_bytes(doc), "v2").paths["/things"].operations["GET"]
-        assert op.responses["200"].media_types == frozenset({"text/csv"})
+        assert op.responses["200"] == frozenset({"text/csv"})
 
     def test_empty_operation_produces_clears_inherited(self):
         doc = {
@@ -161,7 +159,7 @@ class TestSwagger2Mapping:
             },
         }
         op = load_spec(spec_bytes(doc), "v2").paths["/things"].operations["GET"]
-        assert op.responses["200"].media_types == frozenset()
+        assert op.responses["200"] == frozenset()
 
     def test_body_parameter_maps_to_request_body(self):
         doc = {
@@ -236,51 +234,41 @@ class TestSecurity:
         assert op.security == ("oauth",)
         assert effective_security(spec, op) is True
 
-    def test_scheme_names_collected(self):
-        doc = {
-            "openapi": "3.0.0",
-            "info": {"title": "T", "version": "1"},
-            "components": {"securitySchemes": {"bearer": {"type": "http"}}},
-            "paths": {},
-        }
-        assert load_spec(spec_bytes(doc), "s").security_schemes == frozenset({"bearer"})
-
 
 class TestDiagnostics:
     @pytest.mark.parametrize("raw", [
         pytest.param(
             b'{"openapi":"3.0.0","info":{"title":"T"},"paths":{'
-            b'"/users":{"get":{"responses":{"200":{"description":"first"}}}},'
-            b'"/users":{"get":{"responses":{"200":{"description":"second"}}}}}}',
+            b'"/users":{"get":{"operationId":"first","responses":{"200":{"description":"x"}}}},'
+            b'"/users":{"get":{"operationId":"second","responses":{"200":{"description":"x"}}}}}}',
             id="json"),
         pytest.param(
             b"openapi: 3.0.0\ninfo: {title: T}\npaths:\n"
-            b"  /users:\n    get:\n      responses:\n        '200': {description: first}\n"
-            b"  /users:\n    get:\n      responses:\n        '200': {description: second}\n",
+            b"  /users:\n    get: {operationId: first, responses: {'200': {description: x}}}\n"
+            b"  /users:\n    get: {operationId: second, responses: {'200': {description: x}}}\n",
             id="yaml"),
     ])
     def test_duplicate_path_keeps_first(self, raw):
         spec = load_spec(raw, "dup")
         assert list(spec.paths) == ["/users"]
-        op = spec.paths["/users"].operations["GET"]
-        assert op.responses["200"].description == "first"
+        assert spec.paths["/users"].operations["GET"].operation_id == "first"
         assert any("duplicate path" in d for d in spec.diagnostics)
 
     @pytest.mark.parametrize("raw", [
         pytest.param(
             b'{"openapi":"3.0.0","info":{"title":"T"},"paths":{"/users":{'
-            b'"get":{"responses":{"200":{"description":"first"}}},'
-            b'"get":{"responses":{"200":{"description":"second"}}}}}}',
+            b'"get":{"operationId":"first","responses":{"200":{"description":"x"}}},'
+            b'"get":{"operationId":"second","responses":{"200":{"description":"x"}}}}}}',
             id="json"),
         pytest.param(
             b"openapi: 3.0.0\ninfo: {title: T}\npaths:\n  /users:\n"
-            b"    get:\n      responses:\n        '200': {description: first}\n"
-            b"    get:\n      responses:\n        '200': {description: second}\n",
+            b"    get: {operationId: first, responses: {'200': {description: x}}}\n"
+            b"    get: {operationId: second, responses: {'200': {description: x}}}\n",
             id="yaml"),
     ])
     def test_duplicate_method_keeps_first(self, raw):
         spec = load_spec(raw, "dup")
-        assert spec.paths["/users"].operations["GET"].responses["200"].description == "first"
+        assert spec.paths["/users"].operations["GET"].operation_id == "first"
         assert any("duplicate method" in d for d in spec.diagnostics)
 
     def test_path_without_leading_slash_flagged(self):
@@ -295,7 +283,7 @@ class TestDiagnostics:
                "paths": {"/users": {"get": {}}}}
         spec = load_spec(spec_bytes(doc), "nores")
         op = spec.paths["/users"].operations["GET"]
-        assert op.no_responses_declared and not op.responses
+        assert not op.responses
         assert any("no responses declared" in d for d in spec.diagnostics)
 
     def test_invalid_status_key_dropped(self):
@@ -324,7 +312,7 @@ class TestDiagnostics:
                    "content": {"application/json": {}, "not a media type": {}}}}}}}}
         spec = load_spec(spec_bytes(doc), "media")
         op = spec.paths["/users"].operations["GET"]
-        assert op.responses["200"].media_types == frozenset({"application/json"})
+        assert op.responses["200"] == frozenset({"application/json"})
         assert any("invalid media type" in d for d in spec.diagnostics)
 
 
@@ -352,8 +340,7 @@ class TestReferences:
                 "responses": {"200": {"$ref": "#/components/responses/OK"}}}}},
         }
         op = load_spec(spec_bytes(doc), "ref").paths["/users"].operations["GET"]
-        assert op.responses["200"].description == "fine"
-        assert op.responses["200"].media_types == frozenset({"application/json"})
+        assert op.responses["200"] == frozenset({"application/json"})
 
     def test_remote_ref_becomes_diagnostic(self):
         doc = {
@@ -365,7 +352,7 @@ class TestReferences:
         spec = load_spec(spec_bytes(doc), "remote")
         assert any("non-local $ref" in d for d in spec.diagnostics)
         op = spec.paths["/users"].operations["GET"]
-        assert op.responses["200"].media_types == frozenset()
+        assert op.responses["200"] == frozenset()
 
     def test_dangling_ref_becomes_diagnostic(self):
         doc = {
@@ -391,25 +378,6 @@ class TestReferences:
         assert any("too deep or cyclic" in d for d in spec.diagnostics)
 
 
-class TestRoundTrip:
-    def test_dump_and_reload_equal(self):
-        spec = load_spec(MINIMAL_V3, "roundtrip")
-        dumped = json.dumps(spec_to_dict(spec))
-        assert spec_from_dict(json.loads(dumped)) == spec
-
-    def test_round_trip_over_fixture_corpus(self, corpus_labels):
-        from conftest import CORPUS
-
-        for entry in corpus_labels:
-            spec = load_spec_file(CORPUS / entry["file"], spec_id=entry["file"])
-            dumped = json.loads(json.dumps(spec_to_dict(spec)))
-            assert spec_from_dict(dumped) == spec, entry["file"]
-
-    def test_dump_has_documented_fields(self):
-        dump = spec_to_dict(load_spec(MINIMAL_V3, "fields"))
-        assert {"spec_id", "title", "version_kind", "paths"} <= set(dump)
-
-
 class TestQueryParameters:
     def test_path_level_query_params_merge_into_operations(self):
         doc = {
@@ -422,9 +390,7 @@ class TestQueryParameters:
                     "responses": {"200": {"description": "OK"}}}}},
         }
         spec = load_spec(spec_bytes(doc), "qp")
-        entry = spec.paths["/users"]
-        assert entry.path_level_parameters == ("tenant",)
-        assert entry.operations["GET"].query_parameter_names == ("tenant", "page")
+        assert spec.paths["/users"].operations["GET"].query_parameter_names == ("tenant", "page")
 
 
 def _duplicate_keys(doc, seen=None) -> list:
@@ -531,3 +497,35 @@ class TestDuplicateKeys:
         assert from_json == from_yaml
         assert _duplicate_keys(from_json) == _duplicate_keys(from_yaml)
         assert list(from_json.duplicate_keys) == _keep_first(pairs)[1]
+
+
+MERGES = {
+    "single": b"base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  z: 3\n",
+    "list": b"a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nd:\n  <<: [*a, *b]\n",
+    "override": b"a: &a {x: 1, y: 2}\nd:\n  x: 5\n  <<: *a\n  w: 0\n",
+    "list-override": b"a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4}\nd: {w: 0, <<: [*a, *b], x: 9}\n",
+    "nested": b"a: &a {x: 1}\nb: &b\n  <<: *a\n  y: 2\nc:\n  <<: *b\n  x: 3\n",
+    "inline": b"d: {<<: {x: 1, y: 2}, y: 3}\n",
+}
+
+
+class TestMergeKeys:
+    @pytest.mark.parametrize("raw", MERGES.values(), ids=MERGES.keys())
+    def test_merge_matches_safe_load_without_duplicates(self, raw, monkeypatch):
+        expected = yaml.safe_load(raw)
+        for loaders in (model._YAML_LOADERS, (model._DupSafeLoader,)):
+            monkeypatch.setattr(model, "_YAML_LOADERS", loaders)
+            doc = model._parse_document(raw)
+            assert doc == expected
+            assert all(not keys for keys in _duplicate_keys(doc))
+
+    def test_duplicate_explicit_key_still_recorded(self):
+        doc = model._parse_document(b"a: &a {x: 1}\nd:\n  <<: *a\n  y: 1\n  y: 2\n")
+        assert doc["d"] == {"x": 1, "y": 1}
+        assert doc["d"].duplicate_keys == ("y",)
+
+    @pytest.mark.parametrize("raw", [b"d:\n  <<: 3\n", b"d:\n  <<: [{a: 1}, 3]\n"],
+                             ids=["scalar", "list-with-scalar"])
+    def test_non_mapping_merge_is_a_parse_error(self, raw):
+        with pytest.raises(ParseError, match="expected a mapping or list of mappings for merging"):
+            model._parse_document(raw)
