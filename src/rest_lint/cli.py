@@ -171,6 +171,13 @@ def _collecting_after_each(items: Iterable[_T]) -> Iterator[_T]:
         gc.collect(0)
 
 
+def _write(rendered: bytes) -> None:
+    """Write rendered UTF-8 bytes as they are, whatever stdout's text encoding."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(rendered)
+    sys.stdout.buffer.flush()
+
+
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
     """Lint each file and write rendered reports to stdout."""
     lexicon = _resolve_lexicon(cfg)
@@ -185,7 +192,7 @@ def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
             any_error = True
             continue
         report = build_report(spec.spec_id, run_rules(spec, rule_cfg, lexicon))
-        sys.stdout.write(render(report, cfg.output_format).decode("utf-8"))
+        _write(render(report, cfg.output_format))
         any_violation = any_violation or bool(report.violations)
         del spec, report  # freed now, the file's collection walks only what outlives it
     if any_error:
@@ -231,7 +238,7 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
         any_violation = any_violation or bool(report.violations)
 
     summary = aggregate(reports, total_projects=len(projects))
-    sys.stdout.write(render(summary, cfg.output_format).decode("utf-8"))
+    _write(render(summary, cfg.output_format))
     if any_error:
         return EXIT_ERROR
     return EXIT_VIOLATIONS if any_violation else EXIT_CLEAN

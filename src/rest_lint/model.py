@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+import types
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,39 +129,14 @@ def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
 
 
 class _DupSafeLoader(yaml.SafeLoader):
-    pass
+    """PyYAML's pure-Python loader: the fallback, and the parser whose errors stand."""
 
 
-if yaml.__with_libyaml__:
-
-    class _DupCLoader(yaml.composer.Composer, yaml.CSafeLoader):
-        """LibYAML's event parser under the pure-Python composer.
-
-        CSafeLoader's own composer is C code that recurses without a depth
-        check, so deeply nested input crashes the interpreter; the Python
-        composer raises RecursionError instead.
-        """
-
-        def __init__(self, stream: str) -> None:
-            yaml.CSafeLoader.__init__(self, stream)
-            yaml.composer.Composer.__init__(self)
-
-        def compose_sequence_node(self, anchor: str | None) -> yaml.SequenceNode:
-            node = super().compose_sequence_node(anchor)
-            if node.flow_style:
-                _reject_flow_scalars(node.value)
-            return node
-
-        def compose_mapping_node(self, anchor: str | None) -> yaml.MappingNode:
-            node = super().compose_mapping_node(anchor)
-            if node.flow_style:
-                _reject_flow_scalars(n for pair in node.value for n in pair)
-            return node
-
-    # Tried in order; the last is the pure-Python loader whose error stands.
-    _YAML_LOADERS: tuple[type, ...] = (_DupCLoader, _DupSafeLoader)
-else:
-    _YAML_LOADERS = (_DupSafeLoader,)
+_MAP_TAG, _SEQ_TAG = yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, "tag:yaml.org,2002:seq"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_MERGE = object()  # a "<<" key until its mapping is built
+_OPEN = object()  # anchor table entry of a container still open
+_MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
 
 # LibYAML reads tabs and a byte order mark inside the text where the
 # pure-Python scanner fails or reads otherwise (a tab between tokens or
@@ -168,31 +144,28 @@ else:
 _PURE_PYTHON_CHARS = "\t\ufeff"
 
 
-def _reject_flow_scalars(nodes: Iterable[yaml.Node]) -> None:
-    """Fail on a plain scalar in a flow collection that holds "?" or is empty.
-
-    LibYAML reads "?" inside a plain scalar there, where the pure-Python
-    scanner ends the scalar and fails, and it reads "[?]]" as a whole
-    document. Failing here leaves such text to the pure-Python loader.
-    """
-    for node in nodes:
-        if isinstance(node, yaml.ScalarNode) and not node.style and (
-            not node.value or "?" in node.value
-        ):
-            raise yaml.composer.ComposerError(
-                problem="plain scalar LibYAML may read otherwise", problem_mark=node.start_mark
-            )
-
-
-def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
-    """Keep-first mapping; "<<" merge keys add only keys the mapping lacks.
+def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
+    """Keep-first mapping; a "<<" key, given as _MERGE, holds a mapping or a list
+    of mappings whose keys are added where the mapping lacks them.
 
     Explicit keys win over merged ones wherever they stand, and of merged
     mappings the earlier one wins, so a merged key is never a duplicate.
     """
-    pairs, merged = [], []
+    mapping = _keyed_from_pairs(pairs)
+    if _MERGE in mapping:
+        mapping = _keyed_from_pairs([pair for pair in pairs if pair[0] is not _MERGE])
+        for key, value in pairs:
+            if key is _MERGE:
+                for source in value if isinstance(value, list) else [value]:
+                    for merged_key, merged_value in source.items():  # fails on a non-mapping
+                        mapping.setdefault(merged_key, merged_value)
+    return mapping
+
+
+def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
+    pairs = []
     for key_node, value_node in node.value:
-        if key_node.tag == "tag:yaml.org,2002:merge":
+        if key_node.tag == _MERGE_TAG:
             is_list = isinstance(value_node, yaml.SequenceNode)
             sources = value_node.value if is_list else [value_node]
             if not all(isinstance(source, yaml.MappingNode) for source in sources):
@@ -200,7 +173,8 @@ def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
                     "while constructing a mapping", node.start_mark,
                     "expected a mapping or list of mappings for merging", value_node.start_mark,
                 )
-            merged.extend(loader.construct_object(source, deep=True) for source in sources)
+            pairs.append((_MERGE, [loader.construct_object(source, deep=True)
+                                   for source in sources]))
             continue
         key = loader.construct_object(key_node, deep=True)
         try:
@@ -208,30 +182,116 @@ def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
         except TypeError:
             key = str(key)
         pairs.append((key, loader.construct_object(value_node, deep=True)))
-    mapping = _keyed_from_pairs(pairs)
-    for source in merged:
-        for key, value in source.items():
-            mapping.setdefault(key, value)
-    return mapping
+    return _keyed_mapping(pairs)
 
 
-for _loader in _YAML_LOADERS:
-    _loader.add_constructor(yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping)
+_DupSafeLoader.add_constructor(_MAP_TAG, _construct_mapping)
+
+
+class _HandOver(Exception):
+    """The event loop leaves the text to the pure-Python loader."""
+
+
+def _scalar(loader: yaml.CSafeLoader, tag: str, text: str) -> Any:
+    if tag == _MERGE_TAG:
+        return _MERGE
+    # KeyError for a tag SafeLoader does not construct ("!", "!local", "!!value"...).
+    value = loader.yaml_constructors[tag](loader, yaml.ScalarNode(tag, text))
+    if isinstance(value, types.GeneratorType):  # a collection tag on a scalar
+        raise _HandOver
+    return value
+
+
+def _yaml_from_events(text: str) -> Any:
+    """Build the document in one loop over LibYAML's events, with no recursion.
+
+    A plain scalar resolves as SafeLoader resolves it, by its text alone, so
+    once per distinct text. Raises where the pure-Python loader might read
+    the text otherwise, or fail on it; README lists the cases.
+    """
+    loader = yaml.CSafeLoader(text)
+    get_event, resolve = loader.get_event, loader.resolve
+    plain: dict[str, Any] = {}  # plain scalar text -> value
+    anchors: dict[str, Any] = {}
+    stack: list[tuple[list[Any], bool, bool, str | None]] = []
+    items: list[Any] = []  # the open container's values, for a mapping alternating with keys
+    is_map = flow = False
+    try:
+        get_event()  # stream start
+        if isinstance(get_event(), yaml.StreamEndEvent):
+            return None
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                value, tag = event.value, event.tag
+                if not event.style:  # plain
+                    if flow and (not value or "?" in value):
+                        raise _HandOver  # LibYAML may read it otherwise
+                    if tag is None:
+                        try:
+                            value = plain[value]
+                        except KeyError:
+                            resolved = resolve(yaml.ScalarNode, value, (True, False))
+                            value = plain.setdefault(value, _scalar(loader, resolved, value))
+                if tag is not None:
+                    value = _scalar(loader, tag, value)
+                anchor = event.anchor
+                if value is _MERGE and (not is_map or len(items) % 2 or anchor is not None):
+                    raise _HandOver  # "<<" other than as a plain mapping key
+                if anchor is not None:
+                    if anchor in anchors:
+                        raise _HandOver  # PyYAML fails on a repeated anchor
+                    anchors[anchor] = value
+                items.append(value)
+            elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                tag, anchor, opens_map = event.tag, event.anchor, kind is yaml.MappingStartEvent
+                if tag is not None and tag != (_MAP_TAG if opens_map else _SEQ_TAG):
+                    raise _HandOver
+                if len(stack) == _MAX_EVENT_DEPTH or anchor in anchors:
+                    raise _HandOver
+                if anchor is not None:
+                    anchors[anchor] = _OPEN
+                stack.append((items, is_map, flow, anchor))
+                items, is_map, flow = [], opens_map, event.flow_style
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                # An unhashable (complex) key raises TypeError: PyYAML keys it by its
+                # str() before an aliased sequence in it may be filled.
+                value = _keyed_mapping(list(zip(*[iter(items)] * 2))) if is_map else items
+                items, is_map, flow, anchor = stack.pop()
+                if anchor is not None:
+                    anchors[anchor] = value
+                items.append(value)
+            elif kind is yaml.AliasEvent:
+                value = anchors.get(event.anchor, _OPEN)
+                if value is _OPEN:
+                    raise _HandOver  # undefined, or a container still open
+                items.append(value)
+            else:  # document end
+                if not isinstance(get_event(), yaml.StreamEndEvent):
+                    raise _HandOver
+                return items[0]
+    finally:
+        loader.dispose()
+
+
+# The fast path where PyYAML has LibYAML; None leaves all text to _DupSafeLoader.
+_FAST_YAML = _yaml_from_events if yaml.__with_libyaml__ else None
 
 
 def _load_yaml(text: str) -> Any:
-    """Parse with the first loader that succeeds, else fail as the last one does.
+    """Build the document from LibYAML's events, else parse it in pure Python.
 
-    LibYAML words some errors differently from the pure-Python parser, so a
-    failed fast parse is parsed again and every diagnostic keeps one wording.
+    Whatever the event loop leaves, or fails on, is parsed again by
+    _DupSafeLoader, whose result or error stands, so every diagnostic is the
+    pure-Python parser's.
     """
-    if not any(char in text for char in _PURE_PYTHON_CHARS):
-        for loader in _YAML_LOADERS[:-1]:
-            try:
-                return yaml.load(text, Loader=loader)
-            except Exception:
-                pass
-    return yaml.load(text, Loader=_YAML_LOADERS[-1])
+    if _FAST_YAML is not None and not any(char in text for char in _PURE_PYTHON_CHARS):
+        try:
+            return _FAST_YAML(text)
+        except Exception:
+            pass
+    return yaml.load(text, Loader=_DupSafeLoader)
 
 
 def _parse_document(data: bytes) -> Any:

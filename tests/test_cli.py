@@ -36,12 +36,12 @@ def write_config(tmp_path: Path, doc: dict) -> str:
     return str(path)
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a subprocess, so that a crash fails the test, not the suite."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "rest_lint.cli", *args],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", "rest_lint.cli", *args], capture_output=True, text=text,
+        timeout=120, env={**os.environ, **env, "PYTHONPATH": path},
     )
 
 
@@ -209,7 +209,7 @@ class TestLintCommand:
     @pytest.mark.parametrize("fmt,golden", [("text", "lint.txt"), ("json", "lint.json")])
     def test_pure_python_yaml_output_matches_golden(self, fmt, golden, capsys, monkeypatch):
         # What an install whose PyYAML lacks LibYAML runs.
-        monkeypatch.setattr(model, "_YAML_LOADERS", (model._DupSafeLoader,))
+        monkeypatch.setattr(model, "_FAST_YAML", None)
         self.test_corpus_output_matches_golden(fmt, golden, capsys, monkeypatch)
 
     @pytest.mark.parametrize("text", [
@@ -225,6 +225,17 @@ class TestLintCommand:
         proc = run_cli("lint", str(target))
         assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
         assert proc.stderr == f"{target}: document nesting too deep\n"
+
+    def test_report_is_written_whatever_the_stdout_encoding(self, tmp_path, capsys):
+        # The report goes out as UTF-8 bytes even where stdout's text layer is ASCII.
+        target = tmp_path / "\u00fcn\u00ef.json"
+        shutil.copy(CORPUS / "create_user.json", target)
+        proc = run_cli("lint", "--format", "text", str(target), text=False,
+                       PYTHONIOENCODING="ascii")
+        assert proc.returncode == EXIT_VIOLATIONS
+        assert proc.stderr == b""
+        assert main(["lint", "--format", "text", str(target)]) == EXIT_VIOLATIONS
+        assert proc.stdout == capsys.readouterr().out.encode("utf-8")
 
     @pytest.mark.parametrize("name, path, shown", [
         ("api.json", "/Users\\ud800", "  /Users\\ud800 Lowercase 'Users\\ud800'"),

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
@@ -413,6 +416,81 @@ def _parsed(data: bytes) -> tuple:
     return ("document", repr(doc), _duplicate_keys(doc))
 
 
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up while defining
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+# Pieces of small YAML texts for the differential property: scalars of every
+# resolved type, quoted and tagged ones, anchors, aliases (one never defined),
+# "<<" and complex keys, in block and flow style. Odd pieces are drawn less
+# often, so that most texts load.
+_YAML_VALUES = st.sampled_from([
+    "1", "-3", "0x1A", "0o17", "1_000", "1.5", "6.8e+2", ".inf", "-.NaN", "true", "False",
+    "yes", "off", "null", "~", "", "2001-12-14", "2001-12-14 21:59:43.10 -5", "abc",
+    "a b", "'1'", '"true"', "'what?'", '"x\\u00e9"', "''", "!!str 1", "!!binary aGk=",
+    "*m", "[*m, {z: 3}]",
+])
+_YAML_ODD = st.sampled_from([
+    "what?", "=", "<<", "!", "! x", "! 1", "!!str", "!!binary a", "!!int 7", "!!int x",
+    "!!float 1", "!!null ''", "!!timestamp 2001-12-14", "!!set", "!local x", "!!map x",
+    "*a", "*b", "*c",
+])
+_YAML_SCALARS = st.one_of(*[_YAML_VALUES] * 5, _YAML_ODD)
+_YAML_ANCHORS = st.sampled_from([""] * 8 + ["&a ", "&b "])
+_YAML_KEYS = st.sampled_from(
+    ["a", "b", "c", "<<", "<<", "1", "true", "~", "'a'", "[x, y]", "{k: v}", "*a", "&b a",
+     "!!str 1"]
+)
+
+
+def _yaml_node(children):
+    collection = st.tuples(_YAML_ANCHORS, st.booleans())
+    return st.one_of(
+        st.tuples(st.just("seq"), collection, st.lists(children, max_size=4)),
+        st.tuples(st.just("map"), collection,
+                  st.lists(st.tuples(_YAML_KEYS, children), max_size=4)),
+    )
+
+
+def _render_yaml(node, indent: int, flow: bool) -> str:
+    if isinstance(node, str):
+        return node
+    kind, (anchor, as_flow), children = node
+    if flow or as_flow or not children:
+        if kind == "seq":
+            return anchor + "[%s]" % ", ".join(_render_yaml(child, 0, True) for child in children)
+        return anchor + "{%s}" % ", ".join(f"{key}: {_render_yaml(value, 0, True)}"
+                                           for key, value in children)
+    pad = " " * indent
+    if kind == "seq":
+        lines = [f"{pad}- {_render_yaml(child, indent + 2, False)}" for child in children]
+    else:
+        lines = [f"{pad}{key}: {_render_yaml(value, indent + 2, False)}"
+                 for key, value in children]
+    return anchor.rstrip() + "\n" + "\n".join(lines)
+
+
+def _yaml_texts():
+    """Small YAML documents: any node; a mapping after one anchored "m" to
+    merge; or a node in flow sequences nested to just below or just above
+    the event loop's depth count."""
+    nodes = st.recursive(st.tuples(_YAML_ANCHORS, _YAML_SCALARS).map("".join), _yaml_node,
+                         max_leaves=12)
+    mapping = st.lists(st.tuples(_YAML_KEYS, nodes), min_size=1, max_size=5).map(
+        lambda pairs: "m: &m {x: 1, y: [2]}" + _render_yaml(("map", ("", False), pairs), 0, False))
+    deep = st.tuples(st.integers(model._MAX_EVENT_DEPTH - 3, model._MAX_EVENT_DEPTH), nodes)
+    return st.one_of(
+        nodes.map(lambda node: _render_yaml(node, 0, False)),
+        mapping,
+        deep.map(lambda pair: "[" * pair[0] + _render_yaml(pair[1], 0, True) + "]" * pair[0]),
+    )
+
+
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks LibYAML")
 
 # Text that LibYAML reads and the pure-Python scanner rejects or reads otherwise.
@@ -429,6 +507,9 @@ LIBYAML_DIVERGENCES = [
     b"a: what? yes\n",
     b"a: [x, ?y, 'z?']\n",
     b"a: {b: , c: []}\n",
+    # An empty node tagged "!" is null, as the pure-Python parser reads it.
+    b"a: !\n",
+    b"a: ! x\n",
 ]
 
 
@@ -443,20 +524,54 @@ class TestYamlLoaders:
         assert str(exc.value) == "document nesting too deep"
 
     @needs_libyaml
-    def test_c_and_pure_python_loaders_agree_on_fixture_corpus(self):
-        for path in sorted(CORPUS.glob("*.yaml")):
-            text = path.read_text(encoding="utf-8")
-            fast = yaml.load(text, Loader=model._DupCLoader)
+    def test_c_and_pure_python_loaders_agree_on_fixture_corpus(self, tmp_path):
+        texts = {path.name: path.read_text(encoding="utf-8") for path in CORPUS.glob("*.yaml")}
+        workloads = _perfbench_workloads()
+        for name in workloads.WORKLOADS:
+            workloads.generate(name, 7, tmp_path / name, scale=0.05)
+        for path in tmp_path.rglob("*.y*ml"):
+            texts[str(path.relative_to(tmp_path))] = path.read_text(encoding="utf-8")
+        assert len(texts) > len(list(CORPUS.glob("*.yaml")))
+        for name, text in sorted(texts.items()):  # the loop itself: a hand-over fails here
+            fast = model._yaml_from_events(text)
             pure = yaml.load(text, Loader=model._DupSafeLoader)
-            assert repr(fast) == repr(pure), path.name
-            assert _duplicate_keys(fast) == _duplicate_keys(pure), path.name
+            assert repr(fast) == repr(pure), name
+            assert _duplicate_keys(fast) == _duplicate_keys(pure), name
 
     @needs_libyaml
     def test_parse_matches_pure_python_parse(self, monkeypatch):
         samples = _fuzzed_inputs(1000) + LIBYAML_DIVERGENCES
         with_libyaml = [_parsed(data) for data in samples]
-        monkeypatch.setattr(model, "_YAML_LOADERS", (model._DupSafeLoader,))
+        monkeypatch.setattr(model, "_FAST_YAML", None)
         assert [_parsed(data) for data in samples] == with_libyaml
+
+    @needs_libyaml
+    @pytest.mark.parametrize("raw, expected", [
+        (b"&x [*x]\n", ("document", "[[...]]", [])),
+        (b"[&x [*x]]\n", ("document", "[[[...]]]", [])),
+        (b"a: &x [*x]\n", ("error", "invalid YAML: found unconstructable recursive node "
+                                     "(line 1 column 4)", "line 1 column 4")),
+        (b"&x {a: *x}\n", ("error", "invalid YAML: found unconstructable recursive node "
+                                    "(line 1 column 1)", "line 1 column 1")),
+        (b"a: &x 1\nb: &x 2\n", ("error", "invalid YAML: second occurrence (line 2 column 4)",
+                                  "line 2 column 4")),
+        (b"[" * 120 + b"x" + b"]" * 120, ("document", "[" * 120 + "'x'" + "]" * 120, [])),
+    ], ids=["self-sequence", "nested-self-sequence", "self-sequence-in-mapping",
+            "self-mapping", "repeated-anchor", "depth-120"])
+    def test_recursion_and_depth_read_alike_on_both_paths(self, raw, expected, monkeypatch):
+        fast = _parsed(raw)
+        monkeypatch.setattr(model, "_FAST_YAML", None)
+        assert _parsed(raw) == fast == expected
+
+    @needs_libyaml
+    @settings(max_examples=300, deadline=None)
+    @given(_yaml_texts())
+    def test_event_loop_matches_pure_python_parse(self, text):
+        data = text.encode("utf-8")
+        fast = _parsed(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_FAST_YAML", None)
+            assert _parsed(data) == fast
 
 
 # Few distinct keys, so that lists of pairs often repeat one.
@@ -513,8 +628,8 @@ class TestMergeKeys:
     @pytest.mark.parametrize("raw", MERGES.values(), ids=MERGES.keys())
     def test_merge_matches_safe_load_without_duplicates(self, raw, monkeypatch):
         expected = yaml.safe_load(raw)
-        for loaders in (model._YAML_LOADERS, (model._DupSafeLoader,)):
-            monkeypatch.setattr(model, "_YAML_LOADERS", loaders)
+        for fast in (model._FAST_YAML, None):
+            monkeypatch.setattr(model, "_FAST_YAML", fast)
             doc = model._parse_document(raw)
             assert doc == expected
             assert all(not keys for keys in _duplicate_keys(doc))
