@@ -57,12 +57,10 @@ def load_config(path: str | Path | None = None) -> LintConfig:
     if path is None:
         return LintConfig()
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -157,7 +155,7 @@ def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:
     if path:
         try:
             return load_lexicon(path)
-        except (OSError, LexiconError) as exc:
+        except (OSError, UnicodeDecodeError, LexiconError) as exc:
             raise ConfigError(f"cannot load lexicon {path}: {exc}") from exc
     return default_lexicon()
 

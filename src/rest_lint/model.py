@@ -142,6 +142,9 @@ _MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
 # pure-Python scanner fails or reads otherwise (a tab between tokens or
 # inside a plain scalar). Text with either is left to the pure-Python loader.
 _PURE_PYTHON_CHARS = "\t\ufeff"
+# LibYAML also reads a "#" right after a block scalar header, which the
+# pure-Python scanner rejects.
+_BLOCK_HEADER_COMMENT = re.compile(r"[|>](?:[-+]?[1-9]?|[1-9][-+])#")
 
 
 def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
@@ -218,8 +221,11 @@ def _yaml_from_events(text: str) -> Any:
     is_map = flow = False
     try:
         get_event()  # stream start
-        if isinstance(get_event(), yaml.StreamEndEvent):
+        event = get_event()
+        if isinstance(event, yaml.StreamEndEvent):
             return None
+        if event.version or event.tags:
+            raise _HandOver  # a directive, which LibYAML may end with "#"
         while True:
             event = get_event()
             kind = type(event)
@@ -234,6 +240,9 @@ def _yaml_from_events(text: str) -> Any:
                         except KeyError:
                             resolved = resolve(yaml.ScalarNode, value, (True, False))
                             value = plain.setdefault(value, _scalar(loader, resolved, value))
+                elif event.style in "|>" and _BLOCK_HEADER_COMMENT.match(
+                        text, text.find(event.style, event.start_mark.index)):
+                    raise _HandOver
                 if tag is not None:
                     value = _scalar(loader, tag, value)
                 anchor = event.anchor

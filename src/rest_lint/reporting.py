@@ -40,11 +40,12 @@ class CorpusSummary:
 
 
 def build_report(spec_id: str, violations: Iterable[Violation]) -> LintReport:
-    """Assemble a report: sort, keep the first violation of each identity(), count per rule."""
+    """Assemble a report from run_rules' violations: keep the first one given
+    of each sort_key(), sort by that key, count per rule."""
     unique: dict[tuple, Violation] = {}
-    for violation in sorted(violations, key=Violation.sort_key):
-        unique.setdefault(violation.identity(), violation)
-    ordered = tuple(unique.values())
+    for violation in violations:
+        unique.setdefault(violation.sort_key(), violation)
+    ordered = tuple(unique[key] for key in sorted(unique))
     counts = {rule: 0 for rule in RULE_ORDER}
     for violation in ordered:
         counts[violation.rule] += 1

@@ -3,10 +3,12 @@
 Every checker has one signature, check_x(spec, templates, cfg, lexicon),
 and is a pure function of those arguments: the immutable spec, its path
 templates tokenized and classified once, the rule config, and the word
-lexicon. It returns a list of violations. _CHECKERS maps each RuleId to
-its checker. run_rules classifies the templates once and joins the
-enabled checkers' output in RULE_ORDER, unsorted and with duplicates
-kept; reporting.build_report sorts and coalesces it.
+lexicon. It yields findings, (path, method, status key, fragment,
+message) tuples, and names no rule: _CHECKERS binds each RuleId to its
+checker. run_rules classifies the templates once and builds every
+Violation, one per finding of each enabled checker, in RULE_ORDER,
+unsorted and with duplicates kept; reporting.build_report sorts and
+coalesces them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 from .model import ApiSpecification, OperationRecord, effective_security
@@ -23,7 +25,6 @@ from .uri import (
     BOUNDARY_UNDERSCORE,
     Archetype,
     PathTemplate,
-    Segment,
     SegmentKind,
     classify_archetypes,
     split_words,
@@ -91,22 +92,21 @@ _LEADING_WORD = re.compile(r"[A-Za-z]+")
 _BODYLESS_STATUSES = {"204", "304"}
 
 
+# What a checker yields: (path, method, status_key, fragment, message).
+Finding = tuple[str, str | None, str | None, str, str]
+
+
 @dataclass(frozen=True)
 class Violation:
     rule: RuleId
-    spec_id: str
     path: str
     method: str | None
     status_key: str | None
     fragment: str
     message: str
 
-    def identity(self) -> tuple:
-        """Coalescing key: duplicates of this tuple collapse to one violation."""
-        return (self.rule, self.spec_id, self.path, self.method, self.status_key,
-                self.fragment)
-
     def sort_key(self) -> tuple:
+        """Report order, and the coalescing key: findings equal on it are one."""
         return (self.path, self.method or "", self.rule.value, self.fragment,
                 self.status_key or "")
 
@@ -129,8 +129,9 @@ class RuleConfig:
 def run_rules(
     spec: ApiSpecification, cfg: RuleConfig, lexicon: WordLexicon
 ) -> list[Violation]:
-    """Run the enabled checkers; return their violations in RULE_ORDER, unsorted,
-    duplicates kept (build_report sorts and coalesces them)."""
+    """Run the enabled checkers and build a Violation of each finding, in
+    RULE_ORDER, unsorted, duplicates kept (build_report sorts and coalesces
+    them). This is the one place that builds a Violation."""
     templates = {
         raw: classify_archetypes(
             tokenize_path(raw), lexicon, cfg.archetype_overrides.get((spec.spec_id, raw))
@@ -140,7 +141,8 @@ def run_rules(
     collected: list[Violation] = []
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
-            collected.extend(_CHECKERS[rule](spec, templates, cfg, lexicon))
+            collected.extend(Violation(rule, *finding)
+                             for finding in _CHECKERS[rule](spec, templates, cfg, lexicon))
     return collected
 
 
@@ -174,20 +176,15 @@ def _action_tokens(
 
 
 def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Credentialed operations must declare a 401 (or 4XX range) response."""
-    out = []
     for path, op in _operations(spec):
         if not effective_security(spec, op):
             continue
         if "401" in op.responses or "4XX" in op.responses:
             continue
-        out.append(Violation(
-            rule=RuleId.RC401, spec_id=spec.spec_id, path=path, method=op.method,
-            status_key=None, fragment="401",
-            message="operation requires credentials but declares no 401 response",
-        ))
-    return out
+        yield (path, op.method, None, "401",
+               "operation requires credentials but declares no 401 response")
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +193,22 @@ def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
 
 
 def check_plural_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                      cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                      cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Collection segments must have a plural head word."""
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if seg.archetype is Archetype.COLLECTION and seg.words:
                 if not is_plural(seg.words[-1], lexicon):
-                    out.append(_segment_violation(
-                        RuleId.PLURAL_NOUN, spec, path, seg,
-                        f"collection segment '{seg.raw}' should use a plural noun",
-                    ))
-    return out
+                    yield (path, None, None, seg.raw,
+                           f"collection segment '{seg.raw}' should use a plural noun")
 
 
 def check_singular_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Literal document segments must have a singular head word.
 
     Parameter segments are exempt: their runtime values are opaque.
     """
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if (
@@ -225,51 +217,37 @@ def check_singular_noun(spec: ApiSpecification, templates: Mapping[str, PathTemp
                 and seg.words
                 and is_plural(seg.words[-1], lexicon)
             ):
-                out.append(_segment_violation(
-                    RuleId.SINGULAR_NOUN, spec, path, seg,
-                    f"document segment '{seg.raw}' should use a singular noun",
-                ))
-    return out
+                yield (path, None, None, seg.raw,
+                       f"document segment '{seg.raw}' should use a singular noun")
 
 
 def check_no_trailing_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                            cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                            cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Path templates must not end with a slash; the root path is exempt."""
-    out = []
     for path, template in templates.items():
         if template.has_trailing_slash:
-            out.append(Violation(
-                rule=RuleId.NO_TRAILING_SLASH, spec_id=spec.spec_id, path=path,
-                method=None, status_key=None, fragment="/",
-                message="path has a trailing slash",
-            ))
-    return out
+            yield path, None, None, "/", "path has a trailing slash"
 
 
 def check_verb_controller(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                          cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                          cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Controller segments must start with a verb.
 
     The default classifier only labels verb-initial segments as
     controllers, so this fires through archetype overrides that pin a
     segment to the controller archetype.
     """
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if seg.archetype is Archetype.CONTROLLER and seg.words:
                 if not is_verb(seg.words[0], lexicon):
-                    out.append(_segment_violation(
-                        RuleId.VERB_CONTROLLER, spec, path, seg,
-                        f"controller segment '{seg.raw}' should start with a verb",
-                    ))
-    return out
+                    yield (path, None, None, seg.raw,
+                           f"controller segment '{seg.raw}' should start with a verb")
 
 
 def check_no_crud_names(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """CRUD function names do not belong in URIs."""
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if seg.kind is not SegmentKind.LITERAL:
@@ -278,42 +256,28 @@ def check_no_crud_names(spec: ApiSpecification, templates: Mapping[str, PathTemp
                 (w for w in seg.words if crud_method_of(w, lexicon) is not None), None
             )
             if token is not None:
-                out.append(Violation(
-                    rule=RuleId.NO_CRUD_NAMES, spec_id=spec.spec_id, path=path,
-                    method=None, status_key=None, fragment=token,
-                    message=f"CRUD name '{token}' in URI segment '{seg.raw}'",
-                ))
-    return out
+                yield path, None, None, token, f"CRUD name '{token}' in URI segment '{seg.raw}'"
 
 
 def check_forward_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                        cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Hierarchy must be expressed with '/': no empty segments, no '.'/':'/';'."""
-    out = []
     for path, template in templates.items():
         if template.has_empty_segment:
-            out.append(Violation(
-                rule=RuleId.FORWARD_SLASH, spec_id=spec.spec_id, path=path,
-                method=None, status_key=None, fragment="//",
-                message="empty path segment (consecutive slashes)",
-            ))
+            yield path, None, None, "//", "empty path segment (consecutive slashes)"
         for seg in template.segments:
             if seg.kind is SegmentKind.LITERAL and _HIERARCHY_SEPARATOR.search(seg.raw):
-                out.append(_segment_violation(
-                    RuleId.FORWARD_SLASH, spec, path, seg,
-                    f"segment '{seg.raw}' uses a non-slash hierarchy separator",
-                ))
-    return out
+                yield (path, None, None, seg.raw,
+                       f"segment '{seg.raw}' uses a non-slash hierarchy separator")
 
 
 def check_hyphens(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                  cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                  cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Multiword literal segments should be hyphen-separated.
 
     Fires on case or underscore boundaries; digit boundaries alone
     (version tokens like v2) are exempt.
     """
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if (
@@ -321,43 +285,31 @@ def check_hyphens(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
                 and len(seg.words) >= 2
                 and seg.boundary_kinds & {BOUNDARY_CASE, BOUNDARY_UNDERSCORE}
             ):
-                out.append(_segment_violation(
-                    RuleId.HYPHENS, spec, path, seg,
-                    f"multiword segment '{seg.raw}' should use hyphens",
-                ))
-    return out
+                yield (path, None, None, seg.raw,
+                       f"multiword segment '{seg.raw}' should use hyphens")
 
 
 def check_lowercase(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                    cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                    cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """URI paths should be lowercase; parameter names are placeholders."""
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
                 continue
             if any(ch.isupper() for ch in seg.name):
-                out.append(_segment_violation(
-                    RuleId.LOWERCASE, spec, path, seg,
-                    f"segment '{seg.raw}' contains uppercase characters",
-                ))
-    return out
+                yield (path, None, None, seg.raw,
+                       f"segment '{seg.raw}' contains uppercase characters")
 
 
 def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                         cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                         cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Underscores do not belong in URI paths; parameter names are placeholders."""
-    out = []
     for path, template in templates.items():
         for seg in template.segments:
             if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
                 continue
             if "_" in seg.name:
-                out.append(_segment_violation(
-                    RuleId.NO_UNDERSCORES, spec, path, seg,
-                    f"segment '{seg.raw}' contains underscores",
-                ))
-    return out
+                yield path, None, None, seg.raw, f"segment '{seg.raw}' contains underscores"
 
 
 # ---------------------------------------------------------------------------
@@ -366,36 +318,26 @@ def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTem
 
 
 def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                       cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Request bodies and body-bearing responses must declare media types."""
-    out = []
     for path, op in _operations(spec):
         if op.has_request_body and not op.request_media_types:
-            out.append(Violation(
-                rule=RuleId.CONTENT_TYPE, spec_id=spec.spec_id, path=path,
-                method=op.method, status_key=None, fragment="Content-Type",
-                message="request body declares no media type",
-            ))
+            yield path, op.method, None, "Content-Type", "request body declares no media type"
         for status, media_types in op.responses.items():
             if status in _BODYLESS_STATUSES or status.startswith("1"):
                 continue
             if not media_types:
-                out.append(Violation(
-                    rule=RuleId.CONTENT_TYPE, spec_id=spec.spec_id, path=path,
-                    method=op.method, status_key=status, fragment="Content-Type",
-                    message=f"response {status} declares no media type",
-                ))
-    return out
+                yield (path, op.method, status, "Content-Type",
+                       f"response {status} declares no media type")
 
 
 def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                           cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                           cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """The leading word of a description must not contradict the method.
 
     Only the first word is inspected; scanning whole descriptions is far
     too noisy. Operations without a usable leading word produce nothing.
     """
-    out = []
     for path, op in _operations(spec):
         own_class = _METHOD_CLASS.get(op.method)
         if own_class is None:
@@ -409,15 +351,9 @@ def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathT
         word = match.group(0).lower()
         implied = crud_method_of(word, lexicon)
         if implied is not None and _METHOD_CLASS[implied] != own_class:
-            out.append(Violation(
-                rule=RuleId.DESCRIPTION_TYPE, spec_id=spec.spec_id, path=path,
-                method=op.method, status_key=None, fragment=word,
-                message=(
-                    f"description starts with '{word}' ({implied}-style) "
-                    f"but the method is {op.method}"
-                ),
-            ))
-    return out
+            yield (path, op.method, None, word,
+                   f"description starts with '{word}' ({implied}-style) "
+                   f"but the method is {op.method}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,71 +362,43 @@ def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathT
 
 
 def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                    cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                    cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """GET and POST must not smuggle another method's semantics.
 
     Flags CRUD tokens (in the path or operationId) that imply a
     different method, and method-switching query parameters. POST
     carrying create-class tokens is the legitimate case.
     """
-    out = []
     for path, op in _operations(spec):
         if op.method not in ("GET", "POST"):
             continue
         for token, implied in _action_tokens(templates[path], op, lexicon):
-            if implied == op.method:
-                continue
-            out.append(Violation(
-                rule=RuleId.NO_TUNNEL, spec_id=spec.spec_id, path=path,
-                method=op.method, status_key=None, fragment=token,
-                message=f"'{token}' tunnels {implied} semantics through {op.method}",
-            ))
+            if implied != op.method:
+                yield (path, op.method, None, token,
+                       f"'{token}' tunnels {implied} semantics through {op.method}")
         for name in op.query_parameter_names:
             if name in _TUNNEL_QUERY_PARAMS:
-                out.append(Violation(
-                    rule=RuleId.NO_TUNNEL, spec_id=spec.spec_id, path=path,
-                    method=op.method, status_key=None, fragment=name,
-                    message=f"query parameter '{name}' switches the request method",
-                ))
-    return out
+                yield (path, op.method, None, name,
+                       f"query parameter '{name}' switches the request method")
 
 
 def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
-                       cfg: RuleConfig, lexicon: WordLexicon) -> list[Violation]:
+                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """GET must only retrieve: no request bodies, no non-read CRUD tokens."""
-    out = []
     for path, op in _operations(spec):
         if op.method != "GET":
             continue
         if op.has_request_body:
-            out.append(Violation(
-                rule=RuleId.GET_RETRIEVE, spec_id=spec.spec_id, path=path,
-                method="GET", status_key=None, fragment="request-body",
-                message="GET operation declares a request body",
-            ))
+            yield path, "GET", None, "request-body", "GET operation declares a request body"
         for token, implied in _action_tokens(templates[path], op, lexicon):
             if _METHOD_CLASS[implied] != "read":
-                out.append(Violation(
-                    rule=RuleId.GET_RETRIEVE, spec_id=spec.spec_id, path=path,
-                    method="GET", status_key=None, fragment=token,
-                    message=f"GET used for a {_METHOD_CLASS[implied]}-style action '{token}'",
-                ))
-    return out
+                yield (path, "GET", None, token,
+                       f"GET used for a {_METHOD_CLASS[implied]}-style action '{token}'")
 
 
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
-
-
-def _segment_violation(
-    rule: RuleId, spec: ApiSpecification, path: str, seg: Segment, message: str
-) -> Violation:
-    return Violation(
-        rule=rule, spec_id=spec.spec_id, path=path, method=None, status_key=None,
-        fragment=seg.raw, message=message,
-    )
-
 
 _CHECKERS = {
     RuleId.RC401: check_rc401,

@@ -83,7 +83,7 @@ def synthetic_reference_reports() -> list:
             spec_id = f"p{project_index:02d}"
             for k in range(count):
                 violations[spec_id].append(Violation(
-                    rule=rule, spec_id=spec_id, path=f"/{rule.value.lower()}/{k}",
+                    rule=rule, path=f"/{rule.value.lower()}/{k}",
                     method=None, status_key=None, fragment=str(k),
                     message="synthetic",
                 ))

@@ -197,6 +197,30 @@ class TestLintCommand:
         monkeypatch.setenv("REST_LINT_LEXICON", str(tmp_path / "missing.txt"))
         assert main(["lint", str(CLEAN)]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["lint", "aggregate"])
+    @pytest.mark.parametrize("case", ["config-not-utf8", "config-too-deep",
+                                      "env-lexicon-not-utf8", "config-lexicon-not-utf8"])
+    def test_unreadable_config_or_lexicon_exits_two(self, tmp_path, command, case):
+        project = tmp_path / "corpus" / "p"
+        project.mkdir(parents=True)
+        shutil.copy(CLEAN, project / CLEAN.name)
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_bytes(b"[invariant]\nusers\xff\n")
+        config = {
+            "config-not-utf8": b"\xff{}",
+            "config-too-deep": b"[" * 100_000,
+            "config-lexicon-not-utf8": json.dumps({"lexicon_path": str(lexicon)}).encode(),
+        }.get(case)
+        args = [command, str(CLEAN if command == "lint" else tmp_path / "corpus")]
+        if config is not None:
+            (tmp_path / "bad.cfg").write_bytes(config)
+            args += ["--config", str(tmp_path / "bad.cfg")]
+        env = {"REST_LINT_LEXICON": str(lexicon)} if case == "env-lexicon-not-utf8" else {}
+        proc = run_cli(*args, **env)
+        assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+        assert proc.stderr.startswith("configuration error: ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("fmt,golden", [("text", "lint.txt"), ("json", "lint.json")])
     def test_corpus_output_matches_golden(self, fmt, golden, capsys, monkeypatch):
         # The golden files are `rest-lint lint --format FMT <specs>` run inside

@@ -426,9 +426,9 @@ def _perfbench_workloads():
 
 
 # Pieces of small YAML texts for the differential property: scalars of every
-# resolved type, quoted and tagged ones, anchors, aliases (one never defined),
-# "<<" and complex keys, in block and flow style. Odd pieces are drawn less
-# often, so that most texts load.
+# resolved type, quoted and tagged ones, empty block scalars, anchors, aliases
+# (one never defined), "<<" and complex keys, in block and flow style. Odd
+# pieces are drawn less often, so that most texts load.
 _YAML_VALUES = st.sampled_from([
     "1", "-3", "0x1A", "0o17", "1_000", "1.5", "6.8e+2", ".inf", "-.NaN", "true", "False",
     "yes", "off", "null", "~", "", "2001-12-14", "2001-12-14 21:59:43.10 -5", "abc",
@@ -439,6 +439,8 @@ _YAML_ODD = st.sampled_from([
     "what?", "=", "<<", "!", "! x", "! 1", "!!str", "!!binary a", "!!int 7", "!!int x",
     "!!float 1", "!!null ''", "!!timestamp 2001-12-14", "!!set", "!local x", "!!map x",
     "*a", "*b", "*c",
+    # Block scalar headers, some with a "#" right after them, which LibYAML reads.
+    "|", ">-", "|+2", "|#", ">-#", "|+2#", "|2-#", "!!str |#", "!!str >", "&c |#",
 ])
 _YAML_SCALARS = st.one_of(*[_YAML_VALUES] * 5, _YAML_ODD)
 _YAML_ANCHORS = st.sampled_from([""] * 8 + ["&a ", "&b "])
@@ -510,6 +512,18 @@ LIBYAML_DIVERGENCES = [
     # An empty node tagged "!" is null, as the pure-Python parser reads it.
     b"a: !\n",
     b"a: ! x\n",
+    # A "#" right after a directive or a block scalar header...
+    b"%YAML 1.1#\n---\na: 1\n",
+    b"a: |#\n  x\n",
+    b"d: >-#\n  x\n",
+    b"a: |+2#\n   x\n",
+    b"- |#\n  x\n",
+    b"a: !!str |#\n  x\n",
+    b"a: &q !!str |2-#\n   x\n",
+    # ...and text close to those that both read alike.
+    b"%YAML 1.1\n---\na: 1\n",
+    b"%YAML 1.1 #c\n---\na: |-2 #c\n   x\n",
+    b"a: '|#'\nb: >\n  y#\n",
 ]
 
 

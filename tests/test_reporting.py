@@ -2,32 +2,42 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_reports
 from rest_lint import (
     EmptyCorpus,
+    RuleConfig,
     RuleId,
     UnsupportedFormat,
     Violation,
     aggregate,
     build_report,
+    default_lexicon,
+    load_spec,
     render,
+    run_rules,
 )
 
+LEX = default_lexicon()
 
-def make_violation(rule: RuleId, spec_id: str, path: str, fragment: str) -> Violation:
+
+def make_violation(rule: RuleId, path: str, fragment: str) -> Violation:
     return Violation(
-        rule=rule, spec_id=spec_id, path=path, method=None, status_key=None,
+        rule=rule, path=path, method=None, status_key=None,
         fragment=fragment, message="synthetic",
     )
 
 
 def report_with(spec_id: str, counts: dict[RuleId, int]):
     violations = [
-        make_violation(rule, spec_id, f"/p{i}", "x")
+        make_violation(rule, f"/p{i}", "x")
         for rule, n in counts.items()
         for i in range(n)
     ]
@@ -47,17 +57,26 @@ class TestBuildReport:
         assert all(n == 0 for n in report.counts.values())
 
     def test_duplicates_coalesce(self):
-        v = make_violation(RuleId.HYPHENS, "a", "/p", "x")
+        v = make_violation(RuleId.HYPHENS, "/p", "x")
         report = build_report("a", [v, v])
         assert len(report.violations) == 1
 
     def test_violations_sorted(self):
         vs = [
-            make_violation(RuleId.HYPHENS, "a", "/z", "x"),
-            make_violation(RuleId.HYPHENS, "a", "/a", "x"),
+            make_violation(RuleId.HYPHENS, "/z", "x"),
+            make_violation(RuleId.HYPHENS, "/a", "x"),
         ]
         report = build_report("a", vs)
         assert [v.path for v in report.violations] == ["/a", "/z"]
+
+    def test_first_of_equal_keys_is_kept(self):
+        # Both segments give NoCRUDNames 'create' on one path: one finding, the first.
+        report = json.loads(_report_bytes({"openapi": "3.0.0", "paths": {
+            "/create-user/create-item": {"get": {"responses": {"200": _JSON_BODY}}}}}))
+        found = [v for v in report["violations"] if v["rule"] == "NoCRUDNames"]
+        assert len(found) == 1
+        assert found[0]["fragment"] == "create"
+        assert "'create-user'" in found[0]["message"]
 
 
 class TestAggregate:
@@ -147,13 +166,13 @@ class TestRender:
         assert '"Hyphens":0' in text
 
     def test_json_omits_absent_method_and_status(self):
-        report = build_report("x", [make_violation(RuleId.HYPHENS, "x", "/p", "f")])
+        report = build_report("x", [make_violation(RuleId.HYPHENS, "/p", "f")])
         text = render(report, "json").decode("utf-8")
         assert '"method"' not in text and '"status_key"' not in text
         assert '"category":"URIDesign"' in text
 
     def test_text_line_has_rule_path_fragment_message(self):
-        report = build_report("x", [make_violation(RuleId.HYPHENS, "x", "/userProfiles", "userProfiles")])
+        report = build_report("x", [make_violation(RuleId.HYPHENS, "/userProfiles", "userProfiles")])
         lines = render(report, "text").decode("utf-8").splitlines()
         assert lines[0] == "x: 1 violation"
         assert lines[1] == "  /userProfiles Hyphens 'userProfiles': synthetic"
@@ -192,3 +211,68 @@ class TestRender:
         for report in corpus_reports(corpus_labels, lexicon):
             for fmt in ("text", "json"):
                 assert render(report, fmt) == render(report, fmt)
+
+
+# Small OpenAPI 3 documents whose paths and operations trip most rules: upper
+# case, underscores, CRUD words, parameters, trailing and doubled slashes,
+# unsecured 401-less operations, bodies without media types.
+_JSON_BODY = {"description": "d", "content": {"application/json": {}}}
+_SEGMENTS = st.sampled_from([
+    "users", "user", "Users", "user_profiles", "userProfiles", "create", "createUser",
+    "delete-item", "getOrders", "items", "v2", "api", "{id}", "{user_id}", "{Id}",
+    "export.csv", "",
+])
+_PATHS = st.builds(lambda segments, tail: "/" + "/".join(segments) + tail,
+                   st.lists(_SEGMENTS, min_size=1, max_size=4), st.sampled_from(["", "", "/"]))
+_OPERATIONS = st.fixed_dictionaries(
+    {"responses": st.dictionaries(
+        st.sampled_from(["200", "201", "204", "401", "4XX", "default"]),
+        st.sampled_from([{"description": "d"}, _JSON_BODY]), min_size=1, max_size=4)},
+    optional={
+        "operationId": st.sampled_from(["listUsers", "createUser", "deleteItem",
+                                        "update_order", "getAll"]),
+        "requestBody": st.sampled_from([{}, {"content": {"application/json": {}}}]),
+        "security": st.sampled_from([[], [{"key": []}]]),
+    },
+)
+_METHODS = st.dictionaries(st.sampled_from(["get", "post", "put", "patch", "delete"]),
+                           _OPERATIONS, min_size=1, max_size=3)
+_SPECS = st.fixed_dictionaries(
+    {"openapi": st.just("3.0.0"), "paths": st.dictionaries(_PATHS, _METHODS, max_size=5)},
+    optional={"security": st.just([{"key": []}])},
+)
+
+
+def _report_bytes(doc: dict, encode=json.dumps) -> bytes:
+    spec = load_spec(encode(doc).encode("utf-8"), "generated")
+    return render(build_report(spec.spec_id, run_rules(spec, RuleConfig(), LEX)), "json")
+
+
+def _shuffled(data, mapping: dict) -> dict:
+    return dict(data.draw(st.permutations(list(mapping.items()))))
+
+
+class TestGeneratedSpecs:
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECS, st.data())
+    def test_path_order_does_not_change_bytes(self, doc, data):
+        shuffled = {**doc, "paths": _shuffled(data, doc["paths"])}
+        assert _report_bytes(shuffled) == _report_bytes(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECS, st.data())
+    def test_method_and_response_order_does_not_change_bytes(self, doc, data):
+        paths = {
+            path: _shuffled(data, {
+                method: {**op, "responses": _shuffled(data, op["responses"])}
+                for method, op in item.items()
+            })
+            for path, item in doc["paths"].items()
+        }
+        assert _report_bytes({**doc, "paths": paths}) == _report_bytes(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECS)
+    def test_json_and_yaml_encodings_give_equal_bytes(self, doc):
+        as_yaml = _report_bytes(doc, lambda d: yaml.safe_dump(d, sort_keys=False))
+        assert as_yaml == _report_bytes(doc)
