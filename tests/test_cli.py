@@ -30,7 +30,7 @@ GOLDEN = FIXTURES / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def write_config(tmp_path: Path, doc: dict) -> str:
+def write_config(tmp_path: Path, doc: object) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -110,6 +110,34 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="output_format"):
             load_config(write_config(tmp_path, {"output_format": "xml"}))
 
+    def test_config_that_is_not_an_object_is_error(self, tmp_path):
+        path = write_config(tmp_path, ["Hyphens"])
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"config file {path} must contain a JSON object"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"enabled_rules": "Hyphens"}, "enabled_rules: expected a list of rule names"),
+        ({"lexicon_path": 1}, "lexicon_path: expected a string or null"),
+        ({"exempt_parameter_names": "no"}, "exempt_parameter_names: expected true or false"),
+        ({"archetype_overrides": {}}, "archetype_overrides: expected a list"),
+        ({"archetype_overrides": ["x"]}, "archetype_overrides[0]: expected an object"),
+        ({"archetype_overrides": [{"spec_id": "s", "path": "/x"}]},
+         "archetype_overrides[0]: missing field(s): archetype, segment_index"),
+        ({"archetype_overrides": [{"spec_id": 1, "path": "/x", "segment_index": 0,
+                                   "archetype": "document"}]},
+         "archetype_overrides[0]: spec_id and path must be strings"),
+        ({"archetype_overrides": [{"spec_id": "s", "path": None, "segment_index": 0,
+                                   "archetype": "document"}]},
+         "archetype_overrides[0]: spec_id and path must be strings"),
+    ], ids=["rules-not-list", "lexicon-not-string", "exempt-not-bool", "overrides-not-list",
+            "override-not-object", "override-missing-fields", "override-spec-id-not-string",
+            "override-path-not-string"])
+    def test_malformed_setting_message(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, doc))
+        assert str(exc.value) == message
+
 
 class TestLintCommand:
     def test_clean_fixture_exits_zero(self, capsys):
@@ -165,6 +193,25 @@ class TestLintCommand:
             "path": "/users/{id}/activation", "segment_index": 2, "archetype": "controller"}]})
         assert main(["lint", str(spec), "--config", cfg]) == code
         assert ("VerbController 'activation'" in capsys.readouterr().out) is own_spec
+
+    @pytest.mark.parametrize("exempt, code, rules", [
+        (None, EXIT_CLEAN, []), (False, EXIT_VIOLATIONS, ["NoUnderscores"]),
+    ], ids=["default", "parameter-names-checked"])
+    def test_config_exempt_parameter_names(self, tmp_path, capsys, exempt, code, rules):
+        spec = tmp_path / "user.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "paths": {"/users/{user_id}": {"get": {
+                "parameters": [{"name": "user_id", "in": "path", "required": True}],
+                "responses": {"200": {"description": "OK",
+                                      "content": {"application/json": {}}}}}}},
+        }), encoding="utf-8")
+        args = ["lint", "--format", "json", str(spec)]
+        if exempt is not None:
+            args += ["--config", write_config(tmp_path, {"exempt_parameter_names": exempt})]
+        assert main(args) == code
+        report = json.loads(capsys.readouterr().out)
+        assert [v["rule"] for v in report["violations"]] == rules
 
     def test_config_typo_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"enabled_rules": ["Hyphen"]})
@@ -319,6 +366,16 @@ def build_corpus(tmp_path: Path) -> Path:
     return root
 
 
+def fixture_corpus(tmp_path: Path) -> Path:
+    """One project per spec in tests/fixtures/corpus, named after the spec's stem."""
+    root = tmp_path / "corpus"
+    for spec in CORPUS.iterdir():
+        if spec.name != "labels.json":
+            (root / spec.stem).mkdir(parents=True)
+            shutil.copy(spec, root / spec.stem / spec.name)
+    return root
+
+
 # Hand-computed: bravo has NoCRUDNames 1, Hyphens 1, Lowercase 1;
 # charlie has Hyphens 2, Lowercase 1, NoUnderscores 1; 4 projects total.
 EXPECTED_CSV = """rule,occurrences,projects,percentage
@@ -344,6 +401,15 @@ class TestAggregateCommand:
         root = build_corpus(tmp_path)
         assert main(["aggregate", str(root), "--format", "csv"]) == EXIT_VIOLATIONS
         assert capsys.readouterr().out == EXPECTED_CSV
+
+    @pytest.mark.parametrize("fmt,golden", [
+        ("text", "aggregate.txt"), ("json", "aggregate.json"), ("csv", "aggregate.csv"),
+    ])
+    def test_fixture_corpus_output_matches_golden(self, fmt, golden, tmp_path, capsys):
+        # The golden files are `rest-lint aggregate --format FMT DIR` over fixture_corpus.
+        root = fixture_corpus(tmp_path)
+        assert main(["aggregate", "--format", fmt, str(root)]) == EXIT_VIOLATIONS
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_clean_project_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -40,6 +40,9 @@ MINIMAL_V3 = b"""
 """
 
 
+_OK = {"responses": {"200": {"description": "OK"}}}
+
+
 def spec_bytes(doc: dict) -> bytes:
     return json.dumps(doc).encode("utf-8")
 
@@ -318,6 +321,45 @@ class TestDiagnostics:
         assert op.responses["200"] == frozenset({"application/json"})
         assert any("invalid media type" in d for d in spec.diagnostics)
 
+    @pytest.mark.parametrize("raw, version, diagnostics", [
+        (spec_bytes({"openapi": "3.0.0", "paths": ["/a"]}), VersionKind.OPENAPI3,
+         ("'paths' is not a mapping; treated as empty",)),
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": ["get"]}}), VersionKind.OPENAPI3,
+         ("/a: path item is not a mapping; treated as empty",)),
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"get": "x"}}}), VersionKind.OPENAPI3,
+         ("/a: operation GET is not a mapping; skipped",)),
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"get": {"responses": ["200"]}}}}),
+         VersionKind.OPENAPI3,
+         ("/a GET: 'responses' is not a mapping; treated as empty",
+          "/a GET: no responses declared")),
+        (spec_bytes({"swagger": "2.0", "consumes": "application/json",
+                     "produces": "application/json", "paths": {"/a": {"post": {
+                         "parameters": [{"in": "body", "name": "b"}], **_OK}}}}),
+         VersionKind.SWAGGER2,
+         ("root consumes: expected a list of media types; ignored",
+          "root produces: expected a list of media types; ignored")),
+        (spec_bytes({"swagger": "2.0", "paths": {"/a": {"post": {
+            "consumes": "application/json", "produces": "application/json", **_OK}}}}),
+         VersionKind.SWAGGER2,
+         ("/a POST consumes: expected a list of media types; ignored",
+          "/a POST produces: expected a list of media types; ignored")),
+        (spec_bytes({"swagger": "1.2", "paths": {"/a": {"get": _OK}}}), VersionKind.OPENAPI3,
+         ("unrecognized swagger version '1.2'; treating as OpenAPI 3",)),
+        (spec_bytes({"paths": {"/a": {"get": _OK}}}), VersionKind.OPENAPI3,
+         ("no 'swagger'/'openapi' version marker; assuming OpenAPI 3",)),
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"$ref": "#/paths/~1a"}}}),
+         VersionKind.OPENAPI3, ("/a: $ref chain too deep or cyclic, treated as empty",)),
+        (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
+         b"        200: {description: int}\n        '200': {description: str}\n",
+         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+    ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
+            "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
+            "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
+            "duplicate-response-status"])
+    def test_builder_diagnostics(self, raw, version, diagnostics):
+        spec = load_spec(raw, "diag")
+        assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
+
 
 class TestReferences:
     def test_local_parameter_ref_resolves(self):
@@ -524,6 +566,14 @@ LIBYAML_DIVERGENCES = [
     b"%YAML 1.1\n---\na: 1\n",
     b"%YAML 1.1 #c\n---\na: |-2 #c\n   x\n",
     b"a: '|#'\nb: >\n  y#\n",
+    # The event loop's other hand-overs, read alike: the stream ends before a
+    # document, a second document follows, and a collection tag other than map or seq.
+    b"",
+    b"# only a comment\n",
+    b"a: 1\n---\nb: 2\n",
+    b"!!set {a, b}\n",
+    b"a: !!omap [b: 1]\n",
+    b"a: !!pairs [b: 1]\n",
 ]
 
 
