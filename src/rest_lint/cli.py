@@ -155,7 +155,7 @@ def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:
     if path:
         try:
             return load_lexicon(path)
-        except (OSError, UnicodeDecodeError, LexiconError) as exc:
+        except (OSError, LexiconError) as exc:
             raise ConfigError(f"cannot load lexicon {path}: {exc}") from exc
     return default_lexicon()
 

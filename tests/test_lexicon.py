@@ -185,6 +185,12 @@ class TestDataFile:
         with pytest.raises(LexiconError):
             parse_lexicon("[crud]\ncreate MAKE\n")
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "lexicon.txt"
+        path.write_bytes(b"[invariant]\nusers\xff\n")
+        with pytest.raises(LexiconError, match="can't decode byte 0xff in position 17"):
+            load_lexicon(path)
+
     def test_irregular_invariant_conflict_rejected(self):
         with pytest.raises(LexiconError):
             parse_lexicon("[irregular]\nanalyses analysis\n[invariant]\nanalysis\n")
