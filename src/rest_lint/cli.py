@@ -12,15 +12,15 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
 from .lexicon import WordLexicon, default_lexicon, load_lexicon
 from .model import load_spec, load_spec_file
 from .reporting import FORMATS, aggregate, build_report, render
-from .rules import RULE_ORDER, ALL_RULES, RuleConfig, RuleId, run_rules
+from .rules import RULE_ORDER, RuleConfig, RuleId, run_rules
 from .uri import Archetype
 
 LEXICON_ENV_VAR = "REST_LINT_LEXICON"
@@ -36,16 +36,13 @@ _T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class LintConfig:
-    enabled_rules: tuple[RuleId, ...] = RULE_ORDER
     lexicon_path: str | None = None
-    archetype_overrides: Mapping[tuple[str, str], Mapping[int, Archetype]] = field(
-        default_factory=dict
-    )
-    exempt_parameter_names: bool = True
     output_format: str = "text"
+    rules: RuleConfig = field(default_factory=RuleConfig)
 
 
-_CONFIG_FIELDS = {f.name for f in fields(LintConfig)}
+_CONFIG_FIELDS = {"enabled_rules", "lexicon_path", "exempt_parameter_names", "output_format",
+                  "archetype_overrides"}
 
 
 def load_config(path: str | Path | None = None) -> LintConfig:
@@ -69,13 +66,13 @@ def load_config(path: str | Path | None = None) -> LintConfig:
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
 
-    cfg = LintConfig()
+    cfg, rules = LintConfig(), RuleConfig()
 
     if "enabled_rules" in doc:
         names = doc["enabled_rules"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ConfigError("enabled_rules: expected a list of rule names")
-        cfg = replace(cfg, enabled_rules=tuple(_parse_rule(n) for n in names))
+        rules = replace(rules, enabled=frozenset(_parse_rule(n) for n in names))
 
     if "lexicon_path" in doc:
         value = doc["lexicon_path"]
@@ -87,7 +84,7 @@ def load_config(path: str | Path | None = None) -> LintConfig:
         value = doc["exempt_parameter_names"]
         if not isinstance(value, bool):
             raise ConfigError("exempt_parameter_names: expected true or false")
-        cfg = replace(cfg, exempt_parameter_names=value)
+        rules = replace(rules, exempt_parameter_names=value)
 
     if "output_format" in doc:
         value = doc["output_format"]
@@ -107,9 +104,9 @@ def load_config(path: str | Path | None = None) -> LintConfig:
                 raise ConfigError(f"archetype_overrides[{i}]: segment {segment_index} of "
                                   f"{path!r} in {spec_id!r} is already overridden")
             pinned[segment_index] = archetype
-        cfg = replace(cfg, archetype_overrides=overrides)
+        rules = replace(rules, archetype_overrides=overrides)
 
-    return cfg
+    return replace(cfg, rules=rules)
 
 
 def _parse_rule(name: str) -> RuleId:
@@ -142,14 +139,6 @@ def _parse_override(entry: object, index: int) -> tuple[str, str, int, Archetype
     return entry["spec_id"], entry["path"], segment_index, archetype
 
 
-def to_rule_config(cfg: LintConfig) -> RuleConfig:
-    return RuleConfig(
-        enabled=frozenset(cfg.enabled_rules),
-        archetype_overrides=cfg.archetype_overrides,
-        exempt_parameter_names=cfg.exempt_parameter_names,
-    )
-
-
 def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:
     path = cfg.lexicon_path or os.environ.get(LEXICON_ENV_VAR)
     if path:
@@ -179,7 +168,6 @@ def _write(rendered: bytes) -> None:
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
     """Lint each file and write rendered reports to stdout."""
     lexicon = _resolve_lexicon(cfg)
-    rule_cfg = to_rule_config(cfg)
     any_violation = False
     any_error = False
     for path in _collecting_after_each(paths):
@@ -189,7 +177,7 @@ def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             any_error = True
             continue
-        report = build_report(spec.spec_id, run_rules(spec, rule_cfg, lexicon))
+        report = build_report(spec.spec_id, run_rules(spec, cfg.rules, lexicon))
         _write(render(report, cfg.output_format))
         any_violation = any_violation or bool(report.violations)
         del spec, report  # freed now, the file's collection walks only what outlives it
@@ -202,7 +190,6 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
     """Treat each immediate subdirectory of root as one project and
     aggregate lint results across the corpus."""
     lexicon = _resolve_lexicon(cfg)
-    rule_cfg = to_rule_config(cfg)
     root_path = Path(root)
     if not root_path.is_dir():
         print(f"{root}: not a directory", file=sys.stderr)
@@ -230,7 +217,7 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
                 print(f"{file}: {exc}", file=sys.stderr)
                 any_error = True
                 continue
-            violations.extend(run_rules(spec, rule_cfg, lexicon))
+            violations.extend(run_rules(spec, cfg.rules, lexicon))
         report = build_report(project.name, violations)
         reports.append(report)
         any_violation = any_violation or bool(report.violations)

@@ -58,7 +58,6 @@ class OperationRecord:
 
 @dataclass(frozen=True)
 class PathEntry:
-    template: str
     operations: dict[str, OperationRecord]
 
 
@@ -341,7 +340,12 @@ def _parse_document(data: bytes) -> Any:
 
 @dataclass
 class _Build:
+    """The document, what its root declares for every operation, and the diagnostics."""
+
     root: Mapping[str, Any]
+    version_kind: VersionKind = VersionKind.OPENAPI3
+    consumes: frozenset[str] = frozenset()  # root media lists, inherited in Swagger 2
+    produces: frozenset[str] = frozenset()
     diagnostics: list[str] = field(default_factory=list)
 
     def diag(self, message: str) -> None:
@@ -376,13 +380,11 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
 
     swagger = doc.get("swagger")
     if swagger is not None and str(swagger).startswith("2"):
-        version_kind = VersionKind.SWAGGER2
+        build.version_kind = VersionKind.SWAGGER2
     elif "openapi" in doc or "swagger" in doc:
-        version_kind = VersionKind.OPENAPI3
         if "openapi" not in doc:
             build.diag(f"unrecognized swagger version {swagger!r}; treating as OpenAPI 3")
     elif "paths" in doc:
-        version_kind = VersionKind.OPENAPI3
         build.diag("no 'swagger'/'openapi' version marker; assuming OpenAPI 3")
     else:
         raise NotAnApiSpec(
@@ -391,8 +393,8 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
 
     global_security = _requirement_names(doc.get("security"))
 
-    root_consumes = _media_list(doc.get("consumes"), "root consumes", build)
-    root_produces = _media_list(doc.get("produces"), "root produces", build)
+    build.consumes = _media_list(doc.get("consumes"), "root consumes", build)
+    build.produces = _media_list(doc.get("produces"), "root produces", build)
 
     paths: dict[str, PathEntry] = {}
     raw_paths = doc.get("paths")
@@ -411,32 +413,24 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
         if template in paths:
             build.diag(f"duplicate path template {template!r}; first occurrence kept")
             continue
-        paths[template] = _build_path_entry(
-            template, item, version_kind, root_consumes, root_produces, build
-        )
+        paths[template] = _build_path_entry(template, item, build)
 
     return ApiSpecification(
         spec_id=spec_id,
-        version_kind=version_kind,
+        version_kind=build.version_kind,
         paths=paths,
         global_security=global_security,
         diagnostics=tuple(build.diagnostics),
     )
 
 
-def _build_path_entry(
-    template: str,
-    item: Any,
-    version_kind: VersionKind,
-    root_consumes: frozenset[str],
-    root_produces: frozenset[str],
-    build: _Build,
-) -> PathEntry:
+def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
     item = build.deref(item, template)
     if not isinstance(item, Mapping):
         build.diag(f"{template}: path item is not a mapping; treated as empty")
         item = {}
-    method_keys = _SWAGGER2_METHOD_KEYS if version_kind is VersionKind.SWAGGER2 else _METHOD_KEYS
+    method_keys = (_SWAGGER2_METHOD_KEYS if build.version_kind is VersionKind.SWAGGER2
+                   else _METHOD_KEYS)
     for dup in getattr(item, "duplicate_keys", []):
         if str(dup).lower() in method_keys:
             build.diag(f"{template}: duplicate method {dup!r}; first occurrence kept")
@@ -452,12 +446,9 @@ def _build_path_entry(
         if not isinstance(op, Mapping):
             build.diag(f"{template}: operation {method} is not a mapping; skipped")
             continue
-        operations[method] = _build_operation(
-            template, method, op, shared_params, version_kind,
-            root_consumes, root_produces, build,
-        )
+        operations[method] = _build_operation(template, method, op, shared_params, build)
 
-    return PathEntry(template=template, operations=operations)
+    return PathEntry(operations=operations)
 
 
 def _build_operation(
@@ -465,9 +456,6 @@ def _build_operation(
     method: str,
     op: Mapping[str, Any],
     shared_params: list[Mapping[str, Any]],
-    version_kind: VersionKind,
-    root_consumes: frozenset[str],
-    root_produces: frozenset[str],
     build: _Build,
 ) -> OperationRecord:
     where = f"{template} {method}"
@@ -481,16 +469,16 @@ def _build_operation(
                 query_names.append(name)
 
     produces: frozenset[str] = frozenset()
-    if version_kind is VersionKind.SWAGGER2:
+    if build.version_kind is VersionKind.SWAGGER2:
         # Operation-level consumes/produces override the root lists;
         # an explicit empty list clears the inherited one.
         has_body = any(p.get("in") in ("body", "formData") for p in params)
         if op.get("consumes") is None:
-            consumes = root_consumes
+            consumes = build.consumes
         else:
             consumes = _media_list(op.get("consumes"), f"{where} consumes", build)
         if op.get("produces") is None:
-            produces = root_produces
+            produces = build.produces
         else:
             produces = _media_list(op.get("produces"), f"{where} produces", build)
         request_media = consumes if has_body else frozenset()
@@ -512,7 +500,7 @@ def _build_operation(
                 build.diag(f"{where}: duplicate response status {key!r}; first kept")
                 continue
             resp = build.deref(value, f"{where} {key}")
-            if version_kind is VersionKind.SWAGGER2:
+            if build.version_kind is VersionKind.SWAGGER2:
                 responses[key] = produces
             else:
                 responses[key] = _content_media(resp, f"{where} {key}", build)

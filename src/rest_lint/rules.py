@@ -4,8 +4,8 @@ Every checker has one signature, check_x(spec, templates, cfg, lexicon),
 and is a pure function of those arguments: the immutable spec, its path
 templates tokenized and classified once, the rule config, and the word
 lexicon. It yields findings, (path, method, status key, fragment,
-message) tuples, and names no rule: _CHECKERS binds each RuleId to its
-checker. run_rules classifies the templates once and builds every
+message) tuples, and names no rule: _RULES binds each RuleId to its
+category and its checker. run_rules classifies the templates once and builds every
 Violation, one per finding of each enabled checker, in RULE_ORDER,
 unsorted and with duplicates kept; reporting.build_report sorts and
 coalesces them.
@@ -57,25 +57,8 @@ class RuleId(enum.Enum):
 
     @property
     def category(self) -> Category:
-        return _CATEGORY[self]
+        return _RULES[self][0]
 
-
-_CATEGORY = {
-    RuleId.RC401: Category.HTTP_STATUS_CODES,
-    RuleId.PLURAL_NOUN: Category.URI_DESIGN,
-    RuleId.SINGULAR_NOUN: Category.URI_DESIGN,
-    RuleId.NO_TRAILING_SLASH: Category.URI_DESIGN,
-    RuleId.VERB_CONTROLLER: Category.URI_DESIGN,
-    RuleId.NO_CRUD_NAMES: Category.URI_DESIGN,
-    RuleId.CONTENT_TYPE: Category.METADATA_DESIGN,
-    RuleId.DESCRIPTION_TYPE: Category.METADATA_DESIGN,
-    RuleId.FORWARD_SLASH: Category.URI_DESIGN,
-    RuleId.NO_TUNNEL: Category.REQUEST_METHODS,
-    RuleId.GET_RETRIEVE: Category.REQUEST_METHODS,
-    RuleId.HYPHENS: Category.URI_DESIGN,
-    RuleId.LOWERCASE: Category.URI_DESIGN,
-    RuleId.NO_UNDERSCORES: Category.URI_DESIGN,
-}
 
 RULE_ORDER: tuple[RuleId, ...] = tuple(RuleId)
 ALL_RULES: frozenset[RuleId] = frozenset(RuleId)
@@ -142,14 +125,14 @@ def run_rules(
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
             collected.extend(Violation(rule, *finding)
-                             for finding in _CHECKERS[rule](spec, templates, cfg, lexicon))
+                             for finding in _RULES[rule][1](spec, templates, cfg, lexicon))
     return collected
 
 
 def _operations(spec: ApiSpecification) -> Iterable[tuple[str, OperationRecord]]:
-    for entry in spec.paths.values():
+    for path, entry in spec.paths.items():
         for op in entry.operations.values():
-            yield entry.template, op
+            yield path, op
 
 
 def _action_tokens(
@@ -400,19 +383,19 @@ def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTempl
 # Wiring
 # ---------------------------------------------------------------------------
 
-_CHECKERS = {
-    RuleId.RC401: check_rc401,
-    RuleId.PLURAL_NOUN: check_plural_noun,
-    RuleId.SINGULAR_NOUN: check_singular_noun,
-    RuleId.NO_TRAILING_SLASH: check_no_trailing_slash,
-    RuleId.VERB_CONTROLLER: check_verb_controller,
-    RuleId.NO_CRUD_NAMES: check_no_crud_names,
-    RuleId.CONTENT_TYPE: check_content_type,
-    RuleId.DESCRIPTION_TYPE: check_description_type,
-    RuleId.FORWARD_SLASH: check_forward_slash,
-    RuleId.NO_TUNNEL: check_no_tunnel,
-    RuleId.GET_RETRIEVE: check_get_retrieve,
-    RuleId.HYPHENS: check_hyphens,
-    RuleId.LOWERCASE: check_lowercase,
-    RuleId.NO_UNDERSCORES: check_no_underscores,
+_RULES = {
+    RuleId.RC401: (Category.HTTP_STATUS_CODES, check_rc401),
+    RuleId.PLURAL_NOUN: (Category.URI_DESIGN, check_plural_noun),
+    RuleId.SINGULAR_NOUN: (Category.URI_DESIGN, check_singular_noun),
+    RuleId.NO_TRAILING_SLASH: (Category.URI_DESIGN, check_no_trailing_slash),
+    RuleId.VERB_CONTROLLER: (Category.URI_DESIGN, check_verb_controller),
+    RuleId.NO_CRUD_NAMES: (Category.URI_DESIGN, check_no_crud_names),
+    RuleId.CONTENT_TYPE: (Category.METADATA_DESIGN, check_content_type),
+    RuleId.DESCRIPTION_TYPE: (Category.METADATA_DESIGN, check_description_type),
+    RuleId.FORWARD_SLASH: (Category.URI_DESIGN, check_forward_slash),
+    RuleId.NO_TUNNEL: (Category.REQUEST_METHODS, check_no_tunnel),
+    RuleId.GET_RETRIEVE: (Category.REQUEST_METHODS, check_get_retrieve),
+    RuleId.HYPHENS: (Category.URI_DESIGN, check_hyphens),
+    RuleId.LOWERCASE: (Category.URI_DESIGN, check_lowercase),
+    RuleId.NO_UNDERSCORES: (Category.URI_DESIGN, check_no_underscores),
 }

@@ -49,13 +49,13 @@ class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config(None)
         assert cfg == LintConfig()
-        assert set(cfg.enabled_rules) == set(RuleId)
-        assert cfg.exempt_parameter_names is True
+        assert set(cfg.rules.enabled) == set(RuleId)
+        assert cfg.rules.exempt_parameter_names is True
         assert cfg.output_format == "text"
 
     def test_enable_subset(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"enabled_rules": ["Hyphens"]}))
-        assert cfg.enabled_rules == (RuleId.HYPHENS,)
+        assert cfg.rules.enabled == {RuleId.HYPHENS}
 
     def test_unknown_rule_name_is_error(self, tmp_path):
         with pytest.raises(ConfigError, match="Hyphen"):
@@ -81,7 +81,8 @@ class TestLoadConfig:
                 "spec_id": "s", "path": "/users/{id}/profiles",
                 "segment_index": 2, "archetype": "document"}],
         }))
-        assert cfg.archetype_overrides[("s", "/users/{id}/profiles")] == {2: Archetype.DOCUMENT}
+        overrides = cfg.rules.archetype_overrides
+        assert overrides[("s", "/users/{id}/profiles")] == {2: Archetype.DOCUMENT}
 
     def test_bad_override_archetype_is_error(self, tmp_path):
         with pytest.raises(ConfigError, match="archetype"):
