@@ -5,10 +5,10 @@ and is a pure function of those arguments: the immutable spec, its path
 templates tokenized and classified once, the rule config, and the word
 lexicon. It yields findings, (path, method, status key, fragment,
 message) tuples, and names no rule: _RULES binds each RuleId to its
-category and its checker. run_rules classifies the templates once and builds every
-Violation, one per finding of each enabled checker, in RULE_ORDER,
-unsorted and with duplicates kept; reporting.build_report sorts and
-coalesces them.
+category and its checker. run_rules classifies the templates once and
+builds every Violation, one per finding of each enabled checker, in
+RULE_ORDER, unsorted and with duplicates kept; reporting.build_report
+sorts and coalesces them.
 """
 
 from __future__ import annotations
