@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_reports
 from rest_lint import (
+    ALL_RULES,
     EmptyCorpus,
     RuleConfig,
     RuleId,
@@ -243,9 +244,26 @@ _SPECS = st.fixed_dictionaries(
 )
 
 
-def _report_bytes(doc: dict, encode=json.dumps) -> bytes:
+def _report_bytes(doc: dict, encode=json.dumps, cfg: RuleConfig = RuleConfig()) -> bytes:
     spec = load_spec(encode(doc).encode("utf-8"), "generated")
-    return render(build_report(spec.spec_id, run_rules(spec, RuleConfig(), LEX)), "json")
+    return render(build_report(spec.spec_id, run_rules(spec, cfg, LEX)), "json")
+
+
+def _as_swagger2(doc: dict) -> dict:
+    """The same API as a Swagger 2.0 document, with no media types."""
+    paths = {}
+    for path, item in doc["paths"].items():
+        paths[path] = {}
+        for method, op in item.items():
+            own = {"responses": {status: {"description": "d"} for status in op["responses"]}}
+            own.update((key, op[key]) for key in ("operationId", "security") if key in op)
+            if "requestBody" in op:
+                own["parameters"] = [{"in": "body", "name": "body", "schema": {}}]
+            paths[path][method] = own
+    swagger = {"swagger": "2.0", "paths": paths}
+    if "security" in doc:
+        swagger["security"] = doc["security"]
+    return swagger
 
 
 def _shuffled(data, mapping: dict) -> dict:
@@ -276,3 +294,10 @@ class TestGeneratedSpecs:
     def test_json_and_yaml_encodings_give_equal_bytes(self, doc):
         as_yaml = _report_bytes(doc, lambda d: yaml.safe_dump(d, sort_keys=False))
         assert as_yaml == _report_bytes(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECS)
+    def test_swagger2_and_openapi3_give_equal_bytes(self, doc):
+        # Swagger 2 declares response media types per operation, not per response.
+        cfg = RuleConfig(enabled=ALL_RULES - {RuleId.CONTENT_TYPE})
+        assert _report_bytes(_as_swagger2(doc), cfg=cfg) == _report_bytes(doc, cfg=cfg)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import pytest
 from conftest import CORPUS, lint_fixture, rule_config_for
 from rest_lint import (
     ApiSpecification,
@@ -50,6 +51,7 @@ def get_op(summary: str | None = None, description: str | None = None,
 
 
 OK_JSON = {"description": "OK", "content": {"application/json": {}}}
+_ABSENT = object()
 
 
 class TestRC401:
@@ -76,6 +78,33 @@ class TestRC401:
             security=[{"bearer": []}],
         )
         assert check(RuleId.RC401, spec) == []
+
+    # An operation's own security, when present and not null, replaces the
+    # root's. Credentials are required by a list holding a non-empty mapping.
+    @pytest.mark.parametrize("version", [{"openapi": "3.0.0"}, {"swagger": "2.0"}],
+                             ids=["openapi3", "swagger2"])
+    @pytest.mark.parametrize("root,own,findings", [
+        (_ABSENT, _ABSENT, 0),
+        ([{"bearer": []}], _ABSENT, 1),
+        ([{"bearer": []}], None, 1),
+        ([{"bearer": []}], [], 0),
+        ([{"bearer": []}], [{}], 0),
+        ([{"bearer": []}], "bearer", 0),
+        (_ABSENT, [{}, {"b": []}], 1),
+        ([{}], _ABSENT, 0),
+        ("bearer", _ABSENT, 0),
+        (None, [{"bearer": []}], 1),
+        ({"bearer": []}, _ABSENT, 0),
+        ([1, {"b": []}], _ABSENT, 1),
+    ])
+    def test_credential_requirement(self, version, root, own, findings):
+        op = {"responses": {"200": {"description": "OK"}}}
+        if own is not _ABSENT:
+            op["security"] = own
+        doc = {**version, "paths": {"/users": {"get": op}}}
+        if root is not _ABSENT:
+            doc["security"] = root
+        assert len(check(RuleId.RC401, load_spec(json.dumps(doc).encode(), "t"))) == findings
 
 
 class TestPluralNoun:
