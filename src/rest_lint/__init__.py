@@ -30,7 +30,6 @@ from .model import (
     OperationRecord,
     PathEntry,
     VersionKind,
-    effective_security,
     load_spec,
     load_spec_file,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "classify_archetypes",
     "crud_method_of",
     "default_lexicon",
-    "effective_security",
     "is_plural",
     "is_verb",
     "load_lexicon",

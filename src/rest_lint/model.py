@@ -6,7 +6,7 @@ id, the input's version and the loader's diagnostics, the model holds
 only the facts the checkers read: path templates, each operation's
 method, operationId, summary and description, request media types,
 response status keys with their media types, query parameter names and
-security requirements. Loading degrades gracefully: structural oddities (duplicate paths,
+whether it requires credentials. Loading degrades gracefully: structural oddities (duplicate paths,
 missing responses, unresolvable references) become diagnostics instead
 of hard failures. The model is immutable after load and safe to share
 across checkers.
@@ -45,14 +45,13 @@ class VersionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class OperationRecord:
-    method: str
     operation_id: str | None
     summary: str | None
     description: str | None
     has_request_body: bool
     request_media_types: frozenset[str]
     responses: dict[str, frozenset[str]]  # status key -> declared media types
-    security: tuple[str, ...] | None  # None = inherit global; () = explicit opt-out
+    requires_credentials: bool
     query_parameter_names: tuple[str, ...]
 
 
@@ -66,19 +65,7 @@ class ApiSpecification:
     spec_id: str
     version_kind: VersionKind
     paths: dict[str, PathEntry]
-    global_security: tuple[str, ...]
     diagnostics: tuple[str, ...] = ()
-
-
-def effective_security(spec: ApiSpecification, op: OperationRecord) -> bool:
-    """Whether an operation requires credentials.
-
-    Operation-level security overrides the global requirement when
-    present, including the empty list meaning "no auth".
-    """
-    if op.security is not None:
-        return len(op.security) > 0
-    return len(spec.global_security) > 0
 
 
 def load_spec(source: bytes | BinaryIO, spec_id: str) -> ApiSpecification:
@@ -346,6 +333,7 @@ class _Build:
     version_kind: VersionKind = VersionKind.OPENAPI3
     consumes: frozenset[str] = frozenset()  # root media lists, inherited in Swagger 2
     produces: frozenset[str] = frozenset()
+    requires_credentials: bool = False  # the root's security, inherited by every operation
     diagnostics: list[str] = field(default_factory=list)
 
     def diag(self, message: str) -> None:
@@ -391,8 +379,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
             f"{spec_id}: no 'paths' section and no 'swagger'/'openapi' version marker"
         )
 
-    global_security = _requirement_names(doc.get("security"))
-
+    build.requires_credentials = _requires_credentials(doc.get("security"))
     build.consumes = _media_list(doc.get("consumes"), "root consumes", build)
     build.produces = _media_list(doc.get("produces"), "root produces", build)
 
@@ -419,7 +406,6 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
         spec_id=spec_id,
         version_kind=build.version_kind,
         paths=paths,
-        global_security=global_security,
         diagnostics=tuple(build.diagnostics),
     )
 
@@ -513,15 +499,16 @@ def _build_operation(
     summary = op.get("summary")
     description = op.get("description")
     operation_id = op.get("operationId")
+    security = op.get("security")  # present and not null, it replaces the root's
     return OperationRecord(
-        method=method,
         operation_id=operation_id if isinstance(operation_id, str) else None,
         summary=summary if isinstance(summary, str) else None,
         description=description if isinstance(description, str) else None,
         has_request_body=has_body,
         request_media_types=request_media,
         responses=responses,
-        security=_requirement_names(op.get("security"), absent_is_none=True),
+        requires_credentials=(build.requires_credentials if security is None
+                              else _requires_credentials(security)),
         query_parameter_names=tuple(query_names),
     )
 
@@ -537,15 +524,10 @@ def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[
     return out
 
 
-def _requirement_names(value: Any, absent_is_none: bool = False) -> tuple[str, ...] | None:
-    if value is None:
-        return None if absent_is_none else ()
-    names: list[str] = []
-    if isinstance(value, list):
-        for requirement in value:
-            if isinstance(requirement, Mapping):
-                names.extend(str(k) for k in requirement)
-    return tuple(names)
+def _requires_credentials(value: Any) -> bool:
+    """A security list requires credentials when one requirement names a scheme."""
+    return isinstance(value, list) and any(
+        isinstance(requirement, Mapping) and requirement for requirement in value)
 
 
 def _media_list(value: Any, context: str, build: _Build) -> frozenset[str]:

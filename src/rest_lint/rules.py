@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
-from .model import ApiSpecification, OperationRecord, effective_security
+from .model import ApiSpecification, OperationRecord
 from .uri import (
     BOUNDARY_CASE,
     BOUNDARY_UNDERSCORE,
@@ -129,10 +129,10 @@ def run_rules(
     return collected
 
 
-def _operations(spec: ApiSpecification) -> Iterable[tuple[str, OperationRecord]]:
+def _operations(spec: ApiSpecification) -> Iterable[tuple[str, str, OperationRecord]]:
     for path, entry in spec.paths.items():
-        for op in entry.operations.values():
-            yield path, op
+        for method, op in entry.operations.items():
+            yield path, method, op
 
 
 def _action_tokens(
@@ -161,12 +161,12 @@ def _action_tokens(
 def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
                 cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Credentialed operations must declare a 401 (or 4XX range) response."""
-    for path, op in _operations(spec):
-        if not effective_security(spec, op):
+    for path, method, op in _operations(spec):
+        if not op.requires_credentials:
             continue
         if "401" in op.responses or "4XX" in op.responses:
             continue
-        yield (path, op.method, None, "401",
+        yield (path, method, None, "401",
                "operation requires credentials but declares no 401 response")
 
 
@@ -303,14 +303,14 @@ def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTem
 def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Request bodies and body-bearing responses must declare media types."""
-    for path, op in _operations(spec):
+    for path, method, op in _operations(spec):
         if op.has_request_body and not op.request_media_types:
-            yield path, op.method, None, "Content-Type", "request body declares no media type"
+            yield path, method, None, "Content-Type", "request body declares no media type"
         for status, media_types in op.responses.items():
             if status in _BODYLESS_STATUSES or status.startswith("1"):
                 continue
             if not media_types:
-                yield (path, op.method, status, "Content-Type",
+                yield (path, method, status, "Content-Type",
                        f"response {status} declares no media type")
 
 
@@ -321,8 +321,8 @@ def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathT
     Only the first word is inspected; scanning whole descriptions is far
     too noisy. Operations without a usable leading word produce nothing.
     """
-    for path, op in _operations(spec):
-        own_class = _METHOD_CLASS.get(op.method)
+    for path, method, op in _operations(spec):
+        own_class = _METHOD_CLASS.get(method)
         if own_class is None:
             continue
         text = op.description or op.summary
@@ -334,9 +334,9 @@ def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathT
         word = match.group(0).lower()
         implied = crud_method_of(word, lexicon)
         if implied is not None and _METHOD_CLASS[implied] != own_class:
-            yield (path, op.method, None, word,
+            yield (path, method, None, word,
                    f"description starts with '{word}' ({implied}-style) "
-                   f"but the method is {op.method}")
+                   f"but the method is {method}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +352,24 @@ def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate
     different method, and method-switching query parameters. POST
     carrying create-class tokens is the legitimate case.
     """
-    for path, op in _operations(spec):
-        if op.method not in ("GET", "POST"):
+    for path, method, op in _operations(spec):
+        if method not in ("GET", "POST"):
             continue
         for token, implied in _action_tokens(templates[path], op, lexicon):
-            if implied != op.method:
-                yield (path, op.method, None, token,
-                       f"'{token}' tunnels {implied} semantics through {op.method}")
+            if implied != method:
+                yield (path, method, None, token,
+                       f"'{token}' tunnels {implied} semantics through {method}")
         for name in op.query_parameter_names:
             if name in _TUNNEL_QUERY_PARAMS:
-                yield (path, op.method, None, name,
+                yield (path, method, None, name,
                        f"query parameter '{name}' switches the request method")
 
 
 def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """GET must only retrieve: no request bodies, no non-read CRUD tokens."""
-    for path, op in _operations(spec):
-        if op.method != "GET":
+    for path, method, op in _operations(spec):
+        if method != "GET":
             continue
         if op.has_request_body:
             yield path, "GET", None, "request-body", "GET operation declares a request body"

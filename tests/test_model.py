@@ -18,7 +18,6 @@ from rest_lint import (
     NotAnApiSpec,
     ParseError,
     VersionKind,
-    effective_security,
     load_spec,
     load_spec_file,
     model,
@@ -220,25 +219,22 @@ class TestSecurity:
     def test_inherits_global(self):
         spec = self.base(global_security=[{"bearer": []}], include_op_key=False)
         op = spec.paths["/users"].operations["GET"]
-        assert op.security is None
-        assert effective_security(spec, op) is True
+        assert op.requires_credentials is True
 
     def test_explicit_empty_list_opts_out(self):
         spec = self.base(op_security=[], global_security=[{"bearer": []}])
         op = spec.paths["/users"].operations["GET"]
-        assert op.security == ()
-        assert effective_security(spec, op) is False
+        assert op.requires_credentials is False
 
     def test_no_auth_anywhere(self):
         spec = self.base(include_op_key=False)
         op = spec.paths["/users"].operations["GET"]
-        assert effective_security(spec, op) is False
+        assert op.requires_credentials is False
 
     def test_operation_requirement_wins(self):
         spec = self.base(op_security=[{"oauth": ["read"]}])
         op = spec.paths["/users"].operations["GET"]
-        assert op.security == ("oauth",)
-        assert effective_security(spec, op) is True
+        assert op.requires_credentials is True
 
 
 class TestDiagnostics:
