@@ -78,6 +78,8 @@ def load_config(path: str | Path | None = None) -> LintConfig:
         value = doc["lexicon_path"]
         if value is not None and not isinstance(value, str):
             raise ConfigError("lexicon_path: expected a string or null")
+        if value:  # a relative path names a file beside the config file
+            value = os.path.join(os.path.dirname(path), value)
         cfg = replace(cfg, lexicon_path=value)
 
     if "exempt_parameter_names" in doc:

@@ -245,6 +245,30 @@ class TestLintCommand:
         monkeypatch.setenv("REST_LINT_LEXICON", str(tmp_path / "missing.txt"))
         assert main(["lint", str(CLEAN)]) == EXIT_ERROR
 
+    def test_relative_lexicon_path_is_read_beside_the_config(self, tmp_path, capsys,
+                                                             monkeypatch):
+        (tmp_path / "conf").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        lexicon = tmp_path / "conf" / "words.txt"
+        lexicon.write_text("[invariant]\nusers\n", encoding="utf-8")
+        relative = tmp_path / "conf" / "cfg.json"
+        relative.write_text(json.dumps({"lexicon_path": "words.txt"}), encoding="utf-8")
+        absolute = write_config(tmp_path, {"lexicon_path": str(lexicon)})
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        runs = []
+        for config in (absolute, str(relative)):
+            runs.append((main(["lint", "--config", config, str(CLEAN)]), capsys.readouterr()))
+        assert runs[0][0] == EXIT_VIOLATIONS and "PluralNoun" in runs[0][1].out
+        assert runs[1] == runs[0]
+
+    def test_missing_lexicon_beside_config_in_working_directory(self, tmp_path, capsys,
+                                                                monkeypatch):
+        write_config(tmp_path, {"lexicon_path": "missing.txt"})
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--config", "config.json", str(CLEAN)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(
+            "configuration error: cannot load lexicon missing.txt: [Errno 2] ")
+
     @pytest.mark.parametrize("command", ["lint", "aggregate"])
     @pytest.mark.parametrize("case", ["config-not-utf8", "config-too-deep",
                                       "env-lexicon-not-utf8", "config-lexicon-not-utf8"])
