@@ -6,10 +6,10 @@ id, the input's version and the loader's diagnostics, the model holds
 only the facts the checkers read: path templates, each operation's
 method, operationId, summary and description, request media types,
 response status keys with their media types, query parameter names and
-whether it requires credentials. Loading degrades gracefully: structural oddities (duplicate paths,
-missing responses, unresolvable references) become diagnostics instead
-of hard failures. The model is immutable after load and safe to share
-across checkers.
+whether it requires credentials. Loading degrades gracefully:
+structural oddities (duplicate paths, missing responses, unresolvable
+references) become diagnostics instead of hard failures. The model is
+immutable after load and safe to share across checkers.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ class _Build:
     version_kind: VersionKind = VersionKind.OPENAPI3
     consumes: frozenset[str] = frozenset()  # root media lists, inherited in Swagger 2
     produces: frozenset[str] = frozenset()
-    requires_credentials: bool = False  # the root's security, inherited by every operation
+    requires_credentials: bool = False  # the root's security, where an operation has none
     diagnostics: list[str] = field(default_factory=list)
 
     def diag(self, message: str) -> None:
