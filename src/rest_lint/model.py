@@ -76,9 +76,12 @@ def load_spec(source: bytes | BinaryIO, spec_id: str) -> ApiSpecification:
     """
     data = source if isinstance(source, bytes) else source.read()
     doc = _parse_document(data)
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise NotAnApiSpec(f"{spec_id}: document is not a JSON/YAML object")
-    return _build_spec(doc, spec_id)
+    try:
+        return _build_spec(doc, spec_id)
+    except ValueError as exc:  # str() of a long YAML integer not written in decimal
+        raise ParseError(f"number too long: {exc}") from exc
 
 
 def load_spec_file(path: str | Path, spec_id: str | None = None) -> ApiSpecification:
@@ -304,6 +307,8 @@ def _parse_document(data: bytes) -> Any:
         json_error = (exc.msg, exc.lineno, exc.colno)
     except RecursionError as exc:
         raise ParseError("document nesting too deep") from exc
+    except ValueError as exc:  # a number beyond Python's limit on integer digits
+        raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         return _load_yaml(text)
     except RecursionError as exc:
@@ -321,7 +326,8 @@ def _parse_document(data: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Model construction
+# Model construction. Both parsers build every mapping as a dict (_KeyedDict),
+# so the builder tests for dict rather than the slower Mapping ABC.
 # ---------------------------------------------------------------------------
 
 
@@ -342,7 +348,7 @@ class _Build:
     def deref(self, node: Any, context: str) -> Any:
         """Resolve chained local $ref pointers; remote refs yield {}."""
         depth = 0
-        while isinstance(node, Mapping) and "$ref" in node:
+        while isinstance(node, dict) and "$ref" in node:
             ref = node["$ref"]
             if depth >= _MAX_REF_DEPTH:
                 self.diag(f"{context}: $ref chain too deep or cyclic, treated as empty")
@@ -353,7 +359,7 @@ class _Build:
             target: Any = self.root
             for part in ref[2:].split("/"):
                 part = part.replace("~1", "/").replace("~0", "~")
-                if isinstance(target, Mapping) and part in target:
+                if isinstance(target, dict) and part in target:
                     target = target[part]
                 else:
                     self.diag(f"{context}: $ref {ref!r} does not resolve, treated as empty")
@@ -387,7 +393,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
     raw_paths = doc.get("paths")
     if raw_paths is None:
         raw_paths = {}
-    if not isinstance(raw_paths, Mapping):
+    if not isinstance(raw_paths, dict):
         build.diag("'paths' is not a mapping; treated as empty")
         raw_paths = {}
     for dup in getattr(raw_paths, "duplicate_keys", []):
@@ -412,7 +418,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
 
 def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
     item = build.deref(item, template)
-    if not isinstance(item, Mapping):
+    if not isinstance(item, dict):
         build.diag(f"{template}: path item is not a mapping; treated as empty")
         item = {}
     method_keys = (_SWAGGER2_METHOD_KEYS if build.version_kind is VersionKind.SWAGGER2
@@ -429,7 +435,7 @@ def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
         if method is None:
             continue
         op = build.deref(value, f"{template}.{key}")
-        if not isinstance(op, Mapping):
+        if not isinstance(op, dict):
             build.diag(f"{template}: operation {method} is not a mapping; skipped")
             continue
         operations[method] = _build_operation(template, method, op, shared_params, build)
@@ -476,7 +482,7 @@ def _build_operation(
 
     responses: dict[str, frozenset[str]] = {}
     raw_responses = op.get("responses")
-    if isinstance(raw_responses, Mapping):
+    if isinstance(raw_responses, dict):
         for status, value in raw_responses.items():
             key = _normalize_status_key(status)
             if key is None:
@@ -519,7 +525,7 @@ def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[
     out = []
     for entry in value:
         resolved = build.deref(entry, f"{context} parameter")
-        if isinstance(resolved, Mapping):
+        if isinstance(resolved, dict):
             out.append(resolved)
     return out
 
@@ -527,7 +533,7 @@ def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[
 def _requires_credentials(value: Any) -> bool:
     """A security list requires credentials when one requirement names a scheme."""
     return isinstance(value, list) and any(
-        isinstance(requirement, Mapping) and requirement for requirement in value)
+        isinstance(requirement, dict) and requirement for requirement in value)
 
 
 def _media_list(value: Any, context: str, build: _Build) -> frozenset[str]:
@@ -540,10 +546,10 @@ def _media_list(value: Any, context: str, build: _Build) -> frozenset[str]:
 
 
 def _content_media(node: Any, context: str, build: _Build) -> frozenset[str]:
-    if not isinstance(node, Mapping):
+    if not isinstance(node, dict):
         return frozenset()
     content = node.get("content")
-    if not isinstance(content, Mapping):
+    if not isinstance(content, dict):
         return frozenset()
     return _valid_media(list(content.keys()), context, build)
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 from .errors import EmptyCorpus, UnsupportedFormat
-from .rules import RULE_ORDER, RuleId, Violation
+from .rules import RULE_NAMES, RULE_ORDER, RuleId, Violation
 
 FORMATS = ("text", "json", "csv")
 
@@ -45,8 +46,8 @@ def build_report(spec_id: str, violations: Iterable[Violation]) -> LintReport:
     unique: dict[tuple, Violation] = {}
     for violation in violations:
         unique.setdefault(violation.sort_key(), violation)
-    ordered = tuple(unique[key] for key in sorted(unique))
-    counts = {rule: 0 for rule in RULE_ORDER}
+    ordered = tuple(map(unique.__getitem__, sorted(unique)))
+    counts = dict.fromkeys(RULE_ORDER, 0)
     for violation in ordered:
         counts[violation.rule] += 1
     return LintReport(spec_id=spec_id, violations=ordered, counts=counts)
@@ -105,28 +106,35 @@ def render(payload: LintReport | CorpusSummary, format: str) -> bytes:
     raise UnsupportedFormat(f"cannot render {type(payload).__name__}")
 
 
-def _violation_json(violation: Violation) -> dict:
-    doc: dict = {
-        "rule": violation.rule.value,
-        "category": violation.rule.category.value,
-        "path": violation.path,
-    }
-    if violation.method is not None:
-        doc["method"] = violation.method
-    if violation.status_key is not None:
-        doc["status_key"] = violation.status_key
-    doc["fragment"] = violation.fragment
-    doc["message"] = violation.message
-    return doc
+# How each rule's findings start in json, up to the path's value.
+_JSON_FINDING_PREFIX = {
+    rule: '{"rule":%s,"category":%s,"path":' % (
+        encode_basestring_ascii(rule.value), encode_basestring_ascii(rule.category.value))
+    for rule in RULE_ORDER
+}
 
 
 def _report_json(report: LintReport) -> bytes:
-    doc = {
-        "spec_id": report.spec_id,
-        "violations": [_violation_json(v) for v in report.violations],
-        "counts": {rule.value: report.counts.get(rule, 0) for rule in RULE_ORDER},
-    }
-    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+    """The bytes of json.dumps(doc, separators=(",", ":")) for the report's
+    document, written piece by piece without building the document."""
+    quote, prefixes = encode_basestring_ascii, _JSON_FINDING_PREFIX
+    pieces = ['{"spec_id":', quote(report.spec_id), ',"violations":[']
+    for rule, path, method, status_key, fragment, message in report.violations:
+        where = quote(path)
+        if method is not None:
+            where += ',"method":' + quote(method)
+        if status_key is not None:
+            where += ',"status_key":' + quote(status_key)
+        pieces.append(f'{prefixes[rule]}{where},"fragment":{quote(fragment)},'
+                      f'"message":{quote(message)}}},')
+    if report.violations:
+        pieces[-1] = pieces[-1][:-1]  # no comma after the last finding
+    counts = ",".join(f"{quote(RULE_NAMES[rule])}:{report.counts.get(rule, 0)}"
+                      for rule in RULE_ORDER)
+    pieces.append(f'],"counts":{{{counts}}}}}\n')
+    text = "".join(pieces)
+    del pieces  # the pieces are as large as the text: free them before encoding
+    return text.encode("utf-8")
 
 
 def _report_text(report: LintReport) -> bytes:

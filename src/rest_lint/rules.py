@@ -1,14 +1,15 @@
 """The 14 REST design rule checkers and their orchestration.
 
-Every checker has one signature, check_x(spec, templates, cfg, lexicon),
-and is a pure function of those arguments: the immutable spec, its path
-templates tokenized and classified once, the rule config, and the word
-lexicon. It yields findings, (path, method, status key, fragment,
-message) tuples, and names no rule: _RULES binds each RuleId to its
-category and its checker. run_rules classifies the templates once and
-builds every Violation, one per finding of each enabled checker, in
-RULE_ORDER, unsorted and with duplicates kept; reporting.build_report
-sorts and coalesces them.
+Every checker has one signature,
+check_x(spec, templates, actions, cfg, lexicon), and is a pure function
+of those arguments: the immutable spec, its path templates tokenized and
+classified once, the CRUD action tokens of its GET and POST operations,
+the rule config, and the word lexicon. It yields findings, (path,
+method, status key, fragment, message) tuples, and names no rule:
+_RULES binds each RuleId to its category and its checker. run_rules
+finds the templates and action tokens once and builds every Violation,
+one per finding of each enabled checker, in RULE_ORDER, unsorted and
+with duplicates kept; reporting.build_report sorts and coalesces them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 from .model import ApiSpecification, OperationRecord
@@ -55,6 +56,10 @@ class RuleId(enum.Enum):
     LOWERCASE = "Lowercase"
     NO_UNDERSCORES = "NoUnderscores"
 
+    # Members are singletons, so identity hashing is consistent with equality;
+    # Enum's own __hash__ is a Python call, made several times per finding.
+    __hash__ = object.__hash__
+
     @property
     def category(self) -> Category:
         return _RULES[self][0]
@@ -62,6 +67,8 @@ class RuleId(enum.Enum):
 
 RULE_ORDER: tuple[RuleId, ...] = tuple(RuleId)
 ALL_RULES: frozenset[RuleId] = frozenset(RuleId)
+# Each rule's name, read without the Enum.value descriptor.
+RULE_NAMES: dict[RuleId, str] = {rule: rule.value for rule in RuleId}
 
 # Method flavor implied by a CRUD token; PUT and PATCH share one flavor.
 _METHOD_CLASS = {"GET": "read", "POST": "create", "PUT": "update", "PATCH": "update",
@@ -77,10 +84,12 @@ _BODYLESS_STATUSES = {"204", "304"}
 
 # What a checker yields: (path, method, status_key, fragment, message).
 Finding = tuple[str, str | None, str | None, str, str]
+Templates = Mapping[str, PathTemplate]
+# (path, method) of a GET or POST operation -> its (CRUD token, implied method)s.
+Actions = Mapping[tuple[str, str], list[tuple[str, str]]]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: RuleId
     path: str
     method: str | None
@@ -90,7 +99,7 @@ class Violation:
 
     def sort_key(self) -> tuple:
         """Report order, and the coalescing key: findings equal on it are one."""
-        return (self.path, self.method or "", self.rule.value, self.fragment,
+        return (self.path, self.method or "", RULE_NAMES[self.rule], self.fragment,
                 self.status_key or "")
 
 
@@ -121,11 +130,16 @@ def run_rules(
         )
         for raw in spec.paths
     }
+    actions = {
+        (path, method): _action_tokens(templates[path], op, lexicon)
+        for path, method, op in _operations(spec) if method in ("GET", "POST")
+    }
     collected: list[Violation] = []
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
+            checker = _RULES[rule][1]
             collected.extend(Violation(rule, *finding)
-                             for finding in _RULES[rule][1](spec, templates, cfg, lexicon))
+                             for finding in checker(spec, templates, actions, cfg, lexicon))
     return collected
 
 
@@ -158,7 +172,7 @@ def _action_tokens(
 # ---------------------------------------------------------------------------
 
 
-def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_rc401(spec: ApiSpecification, templates: Templates, actions: Actions,
                 cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Credentialed operations must declare a 401 (or 4XX range) response."""
     for path, method, op in _operations(spec):
@@ -175,7 +189,7 @@ def check_rc401(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
 # ---------------------------------------------------------------------------
 
 
-def check_plural_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_plural_noun(spec: ApiSpecification, templates: Templates, actions: Actions,
                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Collection segments must have a plural head word."""
     for path, template in templates.items():
@@ -186,7 +200,7 @@ def check_plural_noun(spec: ApiSpecification, templates: Mapping[str, PathTempla
                            f"collection segment '{seg.raw}' should use a plural noun")
 
 
-def check_singular_noun(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_singular_noun(spec: ApiSpecification, templates: Templates, actions: Actions,
                         cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Literal document segments must have a singular head word.
 
@@ -204,7 +218,7 @@ def check_singular_noun(spec: ApiSpecification, templates: Mapping[str, PathTemp
                        f"document segment '{seg.raw}' should use a singular noun")
 
 
-def check_no_trailing_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_no_trailing_slash(spec: ApiSpecification, templates: Templates, actions: Actions,
                             cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Path templates must not end with a slash; the root path is exempt."""
     for path, template in templates.items():
@@ -212,7 +226,7 @@ def check_no_trailing_slash(spec: ApiSpecification, templates: Mapping[str, Path
             yield path, None, None, "/", "path has a trailing slash"
 
 
-def check_verb_controller(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_verb_controller(spec: ApiSpecification, templates: Templates, actions: Actions,
                           cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Controller segments must start with a verb.
 
@@ -228,7 +242,7 @@ def check_verb_controller(spec: ApiSpecification, templates: Mapping[str, PathTe
                            f"controller segment '{seg.raw}' should start with a verb")
 
 
-def check_no_crud_names(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_no_crud_names(spec: ApiSpecification, templates: Templates, actions: Actions,
                         cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """CRUD function names do not belong in URIs."""
     for path, template in templates.items():
@@ -242,7 +256,7 @@ def check_no_crud_names(spec: ApiSpecification, templates: Mapping[str, PathTemp
                 yield path, None, None, token, f"CRUD name '{token}' in URI segment '{seg.raw}'"
 
 
-def check_forward_slash(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: Actions,
                         cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Hierarchy must be expressed with '/': no empty segments, no '.'/':'/';'."""
     for path, template in templates.items():
@@ -254,7 +268,7 @@ def check_forward_slash(spec: ApiSpecification, templates: Mapping[str, PathTemp
                        f"segment '{seg.raw}' uses a non-slash hierarchy separator")
 
 
-def check_hyphens(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions,
                   cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Multiword literal segments should be hyphen-separated.
 
@@ -272,7 +286,7 @@ def check_hyphens(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
                        f"multiword segment '{seg.raw}' should use hyphens")
 
 
-def check_lowercase(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_lowercase(spec: ApiSpecification, templates: Templates, actions: Actions,
                     cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """URI paths should be lowercase; parameter names are placeholders."""
     for path, template in templates.items():
@@ -284,7 +298,7 @@ def check_lowercase(spec: ApiSpecification, templates: Mapping[str, PathTemplate
                        f"segment '{seg.raw}' contains uppercase characters")
 
 
-def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_no_underscores(spec: ApiSpecification, templates: Templates, actions: Actions,
                          cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Underscores do not belong in URI paths; parameter names are placeholders."""
     for path, template in templates.items():
@@ -300,7 +314,7 @@ def check_no_underscores(spec: ApiSpecification, templates: Mapping[str, PathTem
 # ---------------------------------------------------------------------------
 
 
-def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_content_type(spec: ApiSpecification, templates: Templates, actions: Actions,
                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Request bodies and body-bearing responses must declare media types."""
     for path, method, op in _operations(spec):
@@ -314,7 +328,7 @@ def check_content_type(spec: ApiSpecification, templates: Mapping[str, PathTempl
                        f"response {status} declares no media type")
 
 
-def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_description_type(spec: ApiSpecification, templates: Templates, actions: Actions,
                            cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """The leading word of a description must not contradict the method.
 
@@ -344,7 +358,7 @@ def check_description_type(spec: ApiSpecification, templates: Mapping[str, PathT
 # ---------------------------------------------------------------------------
 
 
-def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_no_tunnel(spec: ApiSpecification, templates: Templates, actions: Actions,
                     cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """GET and POST must not smuggle another method's semantics.
 
@@ -355,7 +369,7 @@ def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate
     for path, method, op in _operations(spec):
         if method not in ("GET", "POST"):
             continue
-        for token, implied in _action_tokens(templates[path], op, lexicon):
+        for token, implied in actions[path, method]:
             if implied != method:
                 yield (path, method, None, token,
                        f"'{token}' tunnels {implied} semantics through {method}")
@@ -365,7 +379,7 @@ def check_no_tunnel(spec: ApiSpecification, templates: Mapping[str, PathTemplate
                        f"query parameter '{name}' switches the request method")
 
 
-def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTemplate],
+def check_get_retrieve(spec: ApiSpecification, templates: Templates, actions: Actions,
                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """GET must only retrieve: no request bodies, no non-read CRUD tokens."""
     for path, method, op in _operations(spec):
@@ -373,7 +387,7 @@ def check_get_retrieve(spec: ApiSpecification, templates: Mapping[str, PathTempl
             continue
         if op.has_request_body:
             yield path, "GET", None, "request-body", "GET operation declares a request body"
-        for token, implied in _action_tokens(templates[path], op, lexicon):
+        for token, implied in actions[path, "GET"]:
             if _METHOD_CLASS[implied] != "read":
                 yield (path, "GET", None, token,
                        f"GET used for a {_METHOD_CLASS[implied]}-style action '{token}'")

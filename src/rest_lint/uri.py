@@ -9,8 +9,9 @@ drives which naming rules apply to which segment.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 
@@ -21,6 +22,10 @@ BOUNDARY_CASE = "case"
 BOUNDARY_DIGIT = "digit"
 
 _SEPARATOR_KINDS = {"-": BOUNDARY_HYPHEN, "_": BOUNDARY_UNDERSCORE}
+
+# An ASCII word with the non-alphanumeric gap before it. Adjacent words meet
+# at a case boundary, or at a digit boundary where one of them is digits.
+_GAP_AND_WORD = re.compile(r"([^0-9A-Za-z]*)([0-9]+|[A-Z]+[a-z]*|[a-z]+)")
 
 
 class SegmentKind(enum.Enum):
@@ -36,8 +41,7 @@ class Archetype(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One path segment with its word tokens and archetype.
 
     ``raw`` keeps braces for parameters ("{userId}"); ``name`` is the
@@ -68,7 +72,27 @@ def split_words(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
     transitions, and letter/digit transitions. Other non-alphanumeric
     characters also end a token but contribute no boundary kind. A
     separator only counts as a boundary when it sits between two tokens.
+    ASCII text is split by one regex; other text one character at a time.
     """
+    if not text.isascii():
+        return _split_words_by_char(text)
+    pairs = _GAP_AND_WORD.findall(text)
+    kinds = set()
+    for (_, before), (gap, word) in zip(pairs, pairs[1:]):
+        if gap:
+            if "-" in gap:
+                kinds.add(BOUNDARY_HYPHEN)
+            if "_" in gap:
+                kinds.add(BOUNDARY_UNDERSCORE)
+        elif word[0] <= "9" or before[0] <= "9":
+            kinds.add(BOUNDARY_DIGIT)
+        else:
+            kinds.add(BOUNDARY_CASE)
+    return tuple([word.lower() for _, word in pairs]), frozenset(kinds)
+
+
+def _split_words_by_char(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """split_words for any text, one character at a time."""
     words: list[str] = []
     kinds: set[str] = set()
     pending: set[str] = set()
@@ -180,7 +204,7 @@ def classify_archetypes(
         else:
             archetype = Archetype.DOCUMENT
         if seg.archetype is not archetype:
-            seg = Segment(seg.kind, seg.raw, seg.name, seg.words, seg.boundary_kinds, archetype)
+            seg = Segment(*seg[:-1], archetype)
         classified.append(seg)
 
     return PathTemplate(

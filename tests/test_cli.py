@@ -29,6 +29,11 @@ CREATE_USER = CORPUS / "create_user.json"
 GOLDEN = FIXTURES / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# A number with more digits than Python converts between int and str.
+LONG_INTEGER_JSON = '{"swagger":"2.0","x":' + "9" * 5000 + ',"paths":{}}'
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-string conversion")
+
 
 def write_config(tmp_path: Path, doc: object) -> str:
     path = tmp_path / "config.json"
@@ -322,6 +327,21 @@ class TestLintCommand:
         assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
         assert proc.stderr == f"{target}: document nesting too deep\n"
 
+    @needs_int_digit_limit
+    @pytest.mark.parametrize("name, text, error", [
+        ("long.json", LONG_INTEGER_JSON, "invalid JSON: Exceeds the limit"),
+        ("hex.yaml", "swagger: 0x" + "f" * 5000 + "\npaths: {}\n", "number too long: "),
+    ], ids=["json-decimal", "yaml-hexadecimal"])
+    def test_long_integer_exits_two(self, tmp_path, name, text, error):
+        # A YAML hexadecimal integer parses at any length; its str() does not.
+        target = tmp_path / name
+        target.write_text(text, encoding="utf-8")
+        proc = run_cli("lint", str(target), str(CLEAN))
+        assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
+        assert proc.stderr.startswith(f"{target}: {error}")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout.startswith(f"{CLEAN}: 0 violations")
+
     def test_report_is_written_whatever_the_stdout_encoding(self, tmp_path, capsys):
         # The report goes out as UTF-8 bytes even where stdout's text layer is ASCII.
         target = tmp_path / "\u00fcn\u00ef.json"
@@ -471,6 +491,17 @@ class TestAggregateCommand:
         assert "api.yaml" in captured.err
         # the summary still came out for the files that parsed
         assert captured.out.startswith("total projects: 1")
+
+    @needs_int_digit_limit
+    def test_long_integer_file_exits_two_and_others_still_lint(self, tmp_path):
+        root = build_corpus(tmp_path)
+        bad = root / "bravo" / "long.json"
+        bad.write_text(LONG_INTEGER_JSON, encoding="utf-8")
+        proc = run_cli("aggregate", "--format", "csv", str(root))
+        assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
+        assert proc.stderr.startswith(f"{bad}: invalid JSON: Exceeds the limit")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == EXPECTED_CSV
 
     def test_repeated_runs_identical(self, tmp_path, capsys):
         root = build_corpus(tmp_path)

@@ -14,6 +14,7 @@ from conftest import corpus_reports
 from rest_lint import (
     ALL_RULES,
     EmptyCorpus,
+    LintReport,
     RuleConfig,
     RuleId,
     UnsupportedFormat,
@@ -212,6 +213,61 @@ class TestRender:
         for report in corpus_reports(corpus_labels, lexicon):
             for fmt in ("text", "json"):
                 assert render(report, fmt) == render(report, fmt)
+
+
+def _json_via_dumps(report: LintReport) -> bytes:
+    """The oracle: the json renderer as it was when it built the document."""
+    violations = []
+    for v in report.violations:
+        doc = {"rule": v.rule.value, "category": v.rule.category.value, "path": v.path}
+        if v.method is not None:
+            doc["method"] = v.method
+        if v.status_key is not None:
+            doc["status_key"] = v.status_key
+        doc["fragment"] = v.fragment
+        doc["message"] = v.message
+        violations.append(doc)
+    doc = {
+        "spec_id": report.spec_id,
+        "violations": violations,
+        "counts": {rule.value: report.counts.get(rule, 0) for rule in RuleId},
+    }
+    return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+# Text json must escape: quotes, backslashes, control characters, a non-BMP
+# character and lone surrogates, mixed with any other code point.
+_AWKWARD_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\n\x1f\x7f\u2028\U0001f600\ud800\udfff'),
+    st.characters(exclude_categories=()),
+), max_size=8)
+_RULES = st.sampled_from(list(RuleId))
+_FINDINGS = st.builds(Violation, _RULES, _AWKWARD_TEXT, st.none() | _AWKWARD_TEXT,
+                      st.none() | _AWKWARD_TEXT, _AWKWARD_TEXT, _AWKWARD_TEXT)
+_REPORTS = st.builds(LintReport, _AWKWARD_TEXT, st.lists(_FINDINGS, max_size=6).map(tuple),
+                     st.dictionaries(_RULES, st.integers(0, 10**9)))
+
+
+class TestJsonRenderer:
+    @given(_REPORTS)
+    def test_bytes_equal_json_dumps(self, report):
+        assert render(report, "json") == _json_via_dumps(report)
+
+    def test_one_finding_escaped(self):
+        violation = Violation(RuleId.LOWERCASE, '/a"\\\ud800\U0001f600', "GET", None,
+                              "\x00", "caf\u00e9")
+        text = render(LintReport("s\n", (violation,), {}), "json").decode("ascii")
+        assert text.startswith(
+            '{"spec_id":"s\\n","violations":[{"rule":"Lowercase","category":"URIDesign",'
+            '"path":"/a\\"\\\\\\ud800\\ud83d\\ude00","method":"GET","fragment":"\\u0000",'
+            '"message":"caf\\u00e9"}],"counts":{"RC401":0,')
+
+    def test_violation_is_a_tuple(self):
+        violation = make_violation(RuleId.HYPHENS, "/p", "f")
+        assert violation == (RuleId.HYPHENS, "/p", None, None, "f", "synthetic")
+        rule, path, *_ = violation
+        assert (rule, path) == (violation.rule, violation.path)
+        assert violation.sort_key() == ("/p", "", "Hyphens", "f", "")
 
 
 # Small OpenAPI 3 documents whose paths and operations trip most rules: upper

@@ -8,6 +8,7 @@ hand-labeled corpus in fixtures/archetypes.json.
 from __future__ import annotations
 
 import json
+import string
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,13 @@ from hypothesis import strategies as st
 
 from rest_lint import (
     Archetype,
+    Segment,
     SegmentKind,
     classify_archetypes,
     default_lexicon,
     split_words,
     tokenize_path,
+    uri,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -90,6 +93,29 @@ class TestSplitWords:
                 words, _ = split_words(c1 + c2)
                 assert list(words) == reference(c1, c2), (c1, c2)
 
+    # Separators are drawn as often as letters and digits, so gaps of several hold them.
+    @given(st.text(st.sampled_from(string.ascii_letters + string.digits)
+                   | st.sampled_from("-_.~{}"), max_size=24))
+    def test_ascii_regex_agrees_with_character_loop(self, text):
+        assert split_words(text) == uri._split_words_by_char(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("caf\u00e9Menu", (("caf\u00e9", "menu"), {"case"})),
+        ("\u00c9tat-civil", (("\u00e9tat", "civil"), {"hyphen"})),
+        ("user\u00b2s", (("user", "\u00b2", "s"), {"digit"})),
+        ("a\u00a0b_c", (("a", "b", "c"), {"underscore"})),
+    ])
+    def test_non_ascii_text_is_split_by_character(self, text, expected):
+        # Non-ASCII letters and digits are word characters, which the ASCII
+        # regex would read as gaps.
+        words, kinds = expected
+        assert split_words(text) == (words, frozenset(kinds))
+
+    @given(st.text(alphabet="aZ9-_.\u00e9\u00c9\u00b2\u0130\u00a0\U0001d400", min_size=1,
+                   max_size=16).filter(lambda text: not text.isascii()))
+    def test_non_ascii_text_gives_the_character_loop_result(self, text):
+        assert split_words(text) == uri._split_words_by_char(text)
+
 
 class TestTokenizePath:
     def test_literal_and_parameter(self):
@@ -117,6 +143,13 @@ class TestTokenizePath:
         seg = tokenize_path("/{userId}").segments[0]
         assert seg.raw == "{userId}" and seg.name == "userId"
         assert seg.words == ("user", "id")
+
+    def test_segment_is_a_tuple(self):
+        seg = tokenize_path("/userId").segments[0]
+        assert seg == (SegmentKind.LITERAL, "userId", "userId", ("user", "id"),
+                       frozenset({"case"}), Archetype.UNKNOWN)
+        kind, raw, *_ = seg
+        assert (kind, raw) == (seg.kind, seg.raw) and isinstance(seg, Segment)
 
     def test_parameter_segments_start_as_documents(self):
         seg = tokenize_path("/users/{id}").segments[1]
