@@ -41,6 +41,14 @@ MINIMAL_V3 = b"""
 
 _OK = {"responses": {"200": {"description": "OK"}}}
 
+# 200 and "200" normalize alike; true and 1 are one YAML key, the first kept.
+STATUS_KEYS_THAT_HASH_ALIKE = (
+    b"openapi: 3.0.0\npaths:\n  /c:\n    get:\n      responses:\n"
+    b"        200: {description: a}\n        '200': {description: b}\n"
+    b"        true: {description: c}\n        1: {description: d}\n"
+    b"        2xx: {description: e}\n"
+)
+
 
 def spec_bytes(doc: dict) -> bytes:
     return json.dumps(doc).encode("utf-8")
@@ -348,13 +356,44 @@ class TestDiagnostics:
         (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
          b"        200: {description: int}\n        '200': {description: str}\n",
          VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+        (spec_bytes({"openapi": "3.0.0", "paths": {
+            "/b": {"parameters": [{"$ref": "#/nope"}], "get": {"$ref": "#/y"},
+                   "post": {"parameters": [{"$ref": "other#/p"}],
+                            "requestBody": {"$ref": "#/rb"},
+                            "responses": {"200": {"$ref": "#/r"}}}},
+            "/a": {"$ref": "#/x"}}}),
+         VersionKind.OPENAPI3,
+         ("/b parameter: $ref '#/nope' does not resolve, treated as empty",
+          "/b.get: $ref '#/y' does not resolve, treated as empty",
+          "/b GET: no responses declared",
+          "/b POST parameter: non-local $ref 'other#/p' not resolved, treated as empty",
+          "/b POST requestBody: $ref '#/rb' does not resolve, treated as empty",
+          "/b POST 200: $ref '#/r' does not resolve, treated as empty",
+          "/a: $ref '#/x' does not resolve, treated as empty")),
+        (STATUS_KEYS_THAT_HASH_ALIKE, VersionKind.OPENAPI3,
+         ("/c GET: duplicate response status '200'; first kept",
+          "/c GET: invalid response status key True; dropped")),
     ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
             "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
             "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
-            "duplicate-response-status"])
+            "duplicate-response-status", "ref-contexts", "status-keys-that-hash-alike"])
     def test_builder_diagnostics(self, raw, version, diagnostics):
         spec = load_spec(raw, "diag")
         assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
+
+    def test_status_keys_that_hash_alike_normalize_apart(self):
+        # true, 1 and 1.0 hash alike, as do 200 and 200.0, across operations too.
+        raw = STATUS_KEYS_THAT_HASH_ALIKE + (
+            b"    post:\n      responses:\n"
+            b"        200.0: {description: f}\n        1: {description: g}\n"
+            b"        201: {description: h}\n"
+        )
+        spec = load_spec(raw, "diag")
+        operations = spec.paths["/c"].operations
+        assert set(operations["GET"].responses) == {"200", "2XX"}
+        assert set(operations["POST"].responses) == {"201"}
+        assert spec.diagnostics[2:] == ("/c POST: invalid response status key 200.0; dropped",
+                                        "/c POST: invalid response status key 1; dropped")
 
 
 class TestReferences:

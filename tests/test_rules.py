@@ -366,6 +366,39 @@ class TestNoUnderscores:
         assert [v.fragment for v in violations] == ["{user_id}"]
 
 
+_SEGMENT_TEXT_RULES = frozenset({RuleId.LOWERCASE, RuleId.NO_UNDERSCORES, RuleId.HYPHENS,
+                                 RuleId.FORWARD_SLASH})
+
+
+class TestNonAsciiSegments:
+    # Titlecase ǅ is not upper-case, though lower() changes it; İ lowers to
+    # two characters; ß upper-cases to two; Ａ-style fullwidth letters
+    # have case; é is a word character on either side of a separator.
+    @pytest.mark.parametrize("path, exempt, rules", [
+        ("/ǅemo", True, []),
+        ("/aǅ", True, []),
+        ("/İtems", True, ["Lowercase"]),
+        ("/straße_items", True, ["Hyphens", "NoUnderscores"]),
+        ("/ａＢc", True, ["Hyphens", "Lowercase"]),
+        ("/café.menu", True, ["ForwardSlash"]),
+        ("/é:ß", True, ["ForwardSlash"]),
+        ("/ß;x", True, ["ForwardSlash"]),
+        ("/a．b", True, []),
+        ("/ÉtatCivil", True, ["Hyphens", "Lowercase"]),
+        ("/café-menu", True, []),
+        ("/ßé", True, []),
+        ("/{Éid}", True, []),
+        ("/{Éid}", False, ["Lowercase"]),
+        ("/{ǅ_é}", False, ["NoUnderscores"]),
+    ])
+    def test_segment_text_rules(self, path, exempt, rules):
+        spec = make_spec({path: {"get": get_op()}})
+        violations = run_rules(
+            spec, RuleConfig(enabled=_SEGMENT_TEXT_RULES, exempt_parameter_names=exempt), LEX)
+        assert sorted(v.rule.value for v in violations) == rules
+        assert {v.fragment for v in violations} <= {path[1:]}
+
+
 class TestRunRules:
     def test_clean_spec_has_no_violations(self):
         spec = make_spec({"/users": {"get": get_op()}})
