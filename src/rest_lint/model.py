@@ -321,7 +321,11 @@ def _parse_document(data: bytes) -> Any:
             ) from yaml_exc
         mark = getattr(yaml_exc, "problem_mark", None)
         position = f"line {mark.line + 1} column {mark.column + 1}" if mark else None
-        problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
+        if isinstance(yaml_exc, yaml.reader.ReaderError):  # str() gives the offset a 2nd line
+            problem = str(yaml_exc).partition("\n")[0]
+            position = f"character {yaml_exc.position + 1}"
+        else:
+            problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
         raise ParseError(f"invalid YAML: {problem}", position=position) from yaml_exc
 
 

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, FIXTURES
 from rest_lint import Archetype, ConfigError, RuleId, model
@@ -553,3 +557,102 @@ class TestGarbageCollection:
         err = capsys.readouterr().err
         assert "broken.yaml" in err and "skipping" in err
         assert gc.collect() == 0
+
+
+# Fixture specs, mutated: what a user may hand the CLI by mistake.
+_FUZZ_SOURCES = [CORPUS / name for name in (
+    "clean.yaml", "create_user.json", "delete_via_get.json", "rc401.yaml", "no_tunnel.yaml")]
+_REFS = ["#/nope", "other.yaml#/x", "#/paths", "#", "#/paths/~1orders"]
+_INSERTS = [b"\\ud800", "é".encode(), b"\xed\xa0\x80", b"9" * 5000, b"{", b": ["]
+_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**4), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("duplicate-line"), st.integers(0, 10**4)),
+    st.tuples(st.just("dangling-ref"), st.integers(0, 10**4), st.sampled_from(_REFS)),
+    st.tuples(st.just("insert"), st.integers(0, 10**4), st.sampled_from(_INSERTS)),
+)
+_MUTATED_FILE = st.tuples(st.sampled_from(_FUZZ_SOURCES), st.lists(_MUTATION, max_size=3))
+
+
+def _mutated(source: Path, mutations: list) -> bytes:
+    data = source.read_bytes()
+    for kind, at, *arg in mutations:
+        at %= len(data) + 1
+        if kind == "flip" and at < len(data):
+            data = data[:at] + bytes([data[at] ^ arg[0]]) + data[at + 1:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + arg[0] + data[at:]
+        elif kind in ("duplicate-line", "dangling-ref"):
+            lines = data.splitlines(keepends=True) or [b""]
+            line = lines[at % len(lines)]
+            if kind == "duplicate-line":  # a repeated key where the line holds one
+                new = line
+            else:  # a $ref key beside the line's own, in its file's syntax
+                indent = line[:len(line) - len(line.lstrip())]
+                ref = arg[0].encode()
+                new = (indent + b'"$ref": "' + ref + b'",\n' if source.suffix == ".json"
+                       else indent + b"$ref: '" + ref + b"'\n")
+            lines.insert(at % len(lines), new)
+            data = b"".join(lines)
+    return data
+
+
+@contextlib.contextmanager
+def _captured_output():
+    """stdout and stderr as byte buffers; the CLI writes reports to stdout.buffer."""
+    out, err = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.TextIOWrapper(io.BytesIO(), "utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        yield out, err
+    out.flush()
+    err.flush()
+
+
+def _run_main(argv: list[str]) -> tuple[int, bytes, list[str]]:
+    with _captured_output() as (out, err):
+        status = main(argv)
+    return status, out.buffer.getvalue(), err.buffer.getvalue().decode().splitlines()
+
+
+class TestCliFuzz:
+    """Every input ends in a report (exit 0/1) or in exit 2 with one stderr line
+    per bad file; any other exception fails."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_MUTATED_FILE, min_size=1, max_size=3))
+    def test_lint_reports_or_names_each_bad_file_once(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, (source, mutations) in enumerate(files):
+                path = Path(tmp) / f"f{i}{source.suffix}"
+                path.write_bytes(_mutated(source, mutations))
+                paths.append(str(path))
+            status, out, err = _run_main(["lint", *paths])
+        named = [line.split(": ", 1)[0] for line in err]
+        assert sorted(named) == sorted(set(named)) and set(named) <= set(paths), err
+        if status == EXIT_ERROR:
+            assert err
+        else:
+            assert status in (EXIT_CLEAN, EXIT_VIOLATIONS) and not err and out
+        assert bool(out) == (len(named) < len(paths))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.lists(_MUTATED_FILE, min_size=1, max_size=2), min_size=1, max_size=3))
+    def test_aggregate_reports_or_names_each_bad_file_once(self, projects):
+        with tempfile.TemporaryDirectory() as tmp:
+            files = []
+            for p, project in enumerate(projects):
+                (Path(tmp) / f"p{p}").mkdir()
+                for i, (source, mutations) in enumerate(project):
+                    path = Path(tmp) / f"p{p}" / f"f{i}{source.suffix}"
+                    path.write_bytes(_mutated(source, mutations))
+                    files.append(str(path))
+            status, out, err = _run_main(["aggregate", "--format", "csv", tmp])
+        skipped = [line[len("skipping "):] for line in err if line.startswith("skipping ")]
+        failed = [line for line in err if not line.startswith("skipping ")]
+        named = [line.split(": ", 1)[0] for line in skipped + failed]
+        assert sorted(named) == sorted(set(named)) and set(named) <= set(files), err
+        assert all(line.endswith(": not an API description") for line in skipped), err
+        assert status == (EXIT_ERROR if failed else status) and out.startswith(b"rule,")
+        assert status in ((EXIT_ERROR,) if failed else (EXIT_CLEAN, EXIT_VIOLATIONS))

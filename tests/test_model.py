@@ -101,6 +101,12 @@ class TestLoadBasics:
             load_spec(b'{"openapi": 3,,}', "bad")
         assert exc.value.position is not None
 
+    def test_unacceptable_yaml_character_is_one_line(self):
+        with pytest.raises(ParseError) as exc:
+            load_spec(b"openapi: 3\n\x0bpaths: {}\n", "bad")
+        assert str(exc.value) == ("invalid YAML: unacceptable character #x000b: special "
+                                  "characters are not allowed (character 12)")
+
     def test_not_utf8_raises_parse_error(self):
         with pytest.raises(ParseError):
             load_spec(b"\xff\xfe\x00\x01", "bad")
