@@ -21,7 +21,7 @@ import types
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, NamedTuple
 
 import yaml
 
@@ -43,8 +43,7 @@ class VersionKind(enum.Enum):
     OPENAPI3 = "openapi3"
 
 
-@dataclass(frozen=True)
-class OperationRecord:
+class OperationRecord(NamedTuple):
     operation_id: str | None
     summary: str | None
     description: str | None
@@ -96,15 +95,15 @@ def load_spec_file(path: str | Path, spec_id: str | None = None) -> ApiSpecifica
 
 
 class _KeyedDict(dict):
-    """Mapping that keeps the first value for a duplicated key and records it."""
+    """Mapping whose text repeats a key: the first value is kept, the repeats recorded."""
 
     __slots__ = ("duplicate_keys",)
     duplicate_keys: tuple[Any, ...]
 
 
-def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
-    mapping = _KeyedDict(pairs)  # keeps the last value of a repeated key
-    mapping.duplicate_keys = ()
+def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
+    """A plain dict, or a _KeyedDict where a key repeats."""
+    mapping = dict(pairs)  # keeps the last value of a repeated key
     if len(mapping) != len(pairs):
         mapping = _KeyedDict()
         duplicates = []
@@ -136,7 +135,7 @@ _PURE_PYTHON_CHARS = "\t\ufeff"
 _BLOCK_HEADER_COMMENT = re.compile(r"[|>](?:[-+]?[1-9]?|[1-9][-+])#")
 
 
-def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
+def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
     """Keep-first mapping; a "<<" key, given as _MERGE, holds a mapping or a list
     of mappings whose keys are added where the mapping lacks them.
 
@@ -154,7 +153,7 @@ def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> _KeyedDict:
     return mapping
 
 
-def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> _KeyedDict:
+def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> dict[Any, Any]:
     pairs = []
     for key_node, value_node in node.value:
         if key_node.tag == _MERGE_TAG:
@@ -330,8 +329,9 @@ def _parse_document(data: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Model construction. Both parsers build every mapping as a dict (_KeyedDict),
-# so the builder tests for dict rather than the slower Mapping ABC.
+# Model construction. Both parsers build every mapping as a dict, a _KeyedDict
+# only where a key repeats, so the builder tests for dict rather than the
+# slower Mapping ABC and reads duplicate_keys with getattr.
 # ---------------------------------------------------------------------------
 
 
@@ -345,12 +345,17 @@ class _Build:
     produces: frozenset[str] = frozenset()
     requires_credentials: bool = False  # the root's security, where an operation has none
     diagnostics: list[str] = field(default_factory=list)
+    status_keys: dict[str | int, str | None] = field(default_factory=dict)
 
     def diag(self, message: str) -> None:
         self.diagnostics.append(message)
 
-    def deref(self, node: Any, context: str) -> Any:
-        """Resolve chained local $ref pointers; remote refs yield {}."""
+    def deref(self, node: Any, where: str, detail: str = "", sep: str = " ") -> Any:
+        """Resolve chained local $ref pointers; remote refs yield {}. A diagnostic's
+        context, where + sep + detail, is formatted only once a $ref is followed."""
+        if not (isinstance(node, dict) and "$ref" in node):
+            return node
+        context = f"{where}{sep}{detail}" if detail else where
         depth = 0
         while isinstance(node, dict) and "$ref" in node:
             ref = node["$ref"]
@@ -372,6 +377,15 @@ class _Build:
             depth += 1
         return node
 
+    def status_key(self, status: Any) -> str | None:
+        """_normalize_status_key, memoized for str and int keys only: True, 1 and
+        1.0 are one dict key, but read "True", "1" and "1.0"."""
+        if type(status) is not str and type(status) is not int:
+            return _normalize_status_key(status)
+        if status not in self.status_keys:
+            self.status_keys[status] = _normalize_status_key(status)
+        return self.status_keys[status]
+
 
 def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
     build = _Build(root=doc)
@@ -390,8 +404,8 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
         )
 
     build.requires_credentials = _requires_credentials(doc.get("security"))
-    build.consumes = _media_list(doc.get("consumes"), "root consumes", build)
-    build.produces = _media_list(doc.get("produces"), "root produces", build)
+    build.consumes = _media_list(doc.get("consumes"), build, "root", "consumes")
+    build.produces = _media_list(doc.get("produces"), build, "root", "produces")
 
     paths: dict[str, PathEntry] = {}
     raw_paths = doc.get("paths")
@@ -438,7 +452,7 @@ def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
         method = method_keys.get(key) if isinstance(key, str) else None
         if method is None:
             continue
-        op = build.deref(value, f"{template}.{key}")
+        op = build.deref(value, template, key, ".")
         if not isinstance(op, dict):
             build.diag(f"{template}: operation {method} is not a mapping; skipped")
             continue
@@ -472,34 +486,34 @@ def _build_operation(
         if op.get("consumes") is None:
             consumes = build.consumes
         else:
-            consumes = _media_list(op.get("consumes"), f"{where} consumes", build)
+            consumes = _media_list(op.get("consumes"), build, where, "consumes")
         if op.get("produces") is None:
             produces = build.produces
         else:
-            produces = _media_list(op.get("produces"), f"{where} produces", build)
+            produces = _media_list(op.get("produces"), build, where, "produces")
         request_media = consumes if has_body else frozenset()
     else:
         raw_body = op.get("requestBody")
-        body = build.deref(raw_body, f"{where} requestBody")
+        body = build.deref(raw_body, where, "requestBody")
         has_body = raw_body is not None
-        request_media = _content_media(body, f"{where} requestBody", build)
+        request_media = _content_media(body, build, where, "requestBody")
 
     responses: dict[str, frozenset[str]] = {}
     raw_responses = op.get("responses")
     if isinstance(raw_responses, dict):
         for status, value in raw_responses.items():
-            key = _normalize_status_key(status)
+            key = build.status_key(status)
             if key is None:
                 build.diag(f"{where}: invalid response status key {status!r}; dropped")
                 continue
             if key in responses:
                 build.diag(f"{where}: duplicate response status {key!r}; first kept")
                 continue
-            resp = build.deref(value, f"{where} {key}")
+            resp = build.deref(value, where, key)
             if build.version_kind is VersionKind.SWAGGER2:
                 responses[key] = produces
             else:
-                responses[key] = _content_media(resp, f"{where} {key}", build)
+                responses[key] = _content_media(resp, build, where, key)
     elif raw_responses is not None:
         build.diag(f"{where}: 'responses' is not a mapping; treated as empty")
 
@@ -528,7 +542,7 @@ def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[
         return []
     out = []
     for entry in value:
-        resolved = build.deref(entry, f"{context} parameter")
+        resolved = build.deref(entry, context, "parameter")
         if isinstance(resolved, dict):
             out.append(resolved)
     return out
@@ -540,31 +554,31 @@ def _requires_credentials(value: Any) -> bool:
         isinstance(requirement, dict) and requirement for requirement in value)
 
 
-def _media_list(value: Any, context: str, build: _Build) -> frozenset[str]:
+def _media_list(value: Any, build: _Build, where: str, detail: str) -> frozenset[str]:
     if value is None:
         return frozenset()
     if not isinstance(value, list):
-        build.diag(f"{context}: expected a list of media types; ignored")
+        build.diag(f"{where} {detail}: expected a list of media types; ignored")
         return frozenset()
-    return _valid_media(value, context, build)
+    return _valid_media(value, build, where, detail)
 
 
-def _content_media(node: Any, context: str, build: _Build) -> frozenset[str]:
+def _content_media(node: Any, build: _Build, where: str, detail: str) -> frozenset[str]:
     if not isinstance(node, dict):
         return frozenset()
     content = node.get("content")
     if not isinstance(content, dict):
         return frozenset()
-    return _valid_media(list(content.keys()), context, build)
+    return _valid_media(content, build, where, detail)
 
 
-def _valid_media(values: list[Any], context: str, build: _Build) -> frozenset[str]:
+def _valid_media(values: Iterable[Any], build: _Build, where: str, detail: str) -> frozenset[str]:
     kept = set()
     for value in values:
         if isinstance(value, str) and _MEDIA_TYPE.match(value):
             kept.add(value)
         else:
-            build.diag(f"{context}: invalid media type {value!r}; dropped")
+            build.diag(f"{where} {detail}: invalid media type {value!r}; dropped")
     return frozenset(kept)
 
 

@@ -76,6 +76,7 @@ _METHOD_CLASS = {"GET": "read", "POST": "create", "PUT": "update", "PATCH": "upd
 
 _TUNNEL_QUERY_PARAMS = ("method", "_method", "action")
 _HIERARCHY_SEPARATOR = re.compile(r"\w[.:;]\w")
+_MULTIWORD = frozenset({BOUNDARY_CASE, BOUNDARY_UNDERSCORE})  # boundaries Hyphens flags
 _LEADING_WORD = re.compile(r"[A-Za-z]+")
 
 # Response statuses that never carry a body.
@@ -249,11 +250,11 @@ def check_no_crud_names(spec: ApiSpecification, templates: Templates, actions: A
         for seg in template.segments:
             if seg.kind is not SegmentKind.LITERAL:
                 continue
-            token = next(
-                (w for w in seg.words if crud_method_of(w, lexicon) is not None), None
-            )
-            if token is not None:
-                yield path, None, None, token, f"CRUD name '{token}' in URI segment '{seg.raw}'"
+            for token in seg.words:
+                if crud_method_of(token, lexicon) is not None:
+                    yield (path, None, None, token,
+                           f"CRUD name '{token}' in URI segment '{seg.raw}'")
+                    break
 
 
 def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: Actions,
@@ -263,9 +264,11 @@ def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: A
         if template.has_empty_segment:
             yield path, None, None, "//", "empty path segment (consecutive slashes)"
         for seg in template.segments:
-            if seg.kind is SegmentKind.LITERAL and _HIERARCHY_SEPARATOR.search(seg.raw):
-                yield (path, None, None, seg.raw,
-                       f"segment '{seg.raw}' uses a non-slash hierarchy separator")
+            raw = seg.raw  # the substring tests spare most segments the regex
+            if (seg.kind is SegmentKind.LITERAL and ("." in raw or ":" in raw or ";" in raw)
+                    and _HIERARCHY_SEPARATOR.search(raw)):
+                yield (path, None, None, raw,
+                       f"segment '{raw}' uses a non-slash hierarchy separator")
 
 
 def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions,
@@ -280,7 +283,7 @@ def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions
             if (
                 seg.kind is SegmentKind.LITERAL
                 and len(seg.words) >= 2
-                and seg.boundary_kinds & {BOUNDARY_CASE, BOUNDARY_UNDERSCORE}
+                and not seg.boundary_kinds.isdisjoint(_MULTIWORD)
             ):
                 yield (path, None, None, seg.raw,
                        f"multiword segment '{seg.raw}' should use hyphens")
@@ -293,7 +296,9 @@ def check_lowercase(spec: ApiSpecification, templates: Templates, actions: Actio
         for seg in template.segments:
             if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
                 continue
-            if any(ch.isupper() for ch in seg.name):
+            name = seg.name
+            # lower() changes titlecase letters such as "ǅ", which are not upper-case.
+            if name != name.lower() if name.isascii() else any(ch.isupper() for ch in name):
                 yield (path, None, None, seg.raw,
                        f"segment '{seg.raw}' contains uppercase characters")
 

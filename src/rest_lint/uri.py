@@ -9,6 +9,7 @@ drives which naming rules apply to which segment.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
@@ -135,6 +136,17 @@ def _transition_kind(prev: str, cur: str) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=4096)
+def _segment(part: str) -> Segment:
+    """One path part's segment, archetype provisional. It depends on the text
+    alone and is immutable, so equal parts share one, in any template or spec."""
+    if len(part) >= 2 and part.startswith("{") and part.endswith("}"):
+        kind, name, archetype = SegmentKind.PARAMETER, part[1:-1], Archetype.DOCUMENT
+    else:
+        kind, name, archetype = SegmentKind.LITERAL, part, Archetype.UNKNOWN
+    return Segment(kind, part, name, *split_words(name), archetype)
+
+
 def tokenize_path(raw: str) -> PathTemplate:
     """Tokenize a raw URI template. Total: every input yields a template."""
     has_trailing = len(raw) > 1 and raw.endswith("/")
@@ -143,18 +155,9 @@ def tokenize_path(raw: str) -> PathTemplate:
         body = body[:-1]
     parts = body.split("/") if body else []
 
-    segments = []
-    for part in parts:
-        if len(part) >= 2 and part.startswith("{") and part.endswith("}"):
-            kind, name, archetype = SegmentKind.PARAMETER, part[1:-1], Archetype.DOCUMENT
-        else:
-            kind, name, archetype = SegmentKind.LITERAL, part, Archetype.UNKNOWN
-        words, boundary_kinds = split_words(name)
-        segments.append(Segment(kind, part, name, words, boundary_kinds, archetype))
-
     return PathTemplate(
         raw=raw,
-        segments=tuple(segments),
+        segments=tuple(map(_segment, parts)),
         has_trailing_slash=has_trailing,
         has_empty_segment="//" in raw,
     )

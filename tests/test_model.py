@@ -480,12 +480,15 @@ class TestQueryParameters:
 
 
 def _duplicate_keys(doc, seen=None) -> list:
-    """Every mapping's duplicate_keys, in document order (aliases may cycle)."""
+    """Every mapping's duplicate_keys, in document order (aliases may cycle).
+
+    A mapping whose text repeats no key is a plain dict, without the attribute.
+    """
     seen = set() if seen is None else seen
     if not isinstance(doc, (dict, list)) or id(doc) in seen:
         return []
     seen.add(id(doc))
-    found = [list(doc.duplicate_keys)] if isinstance(doc, dict) else []
+    found = [list(getattr(doc, "duplicate_keys", ()))] if isinstance(doc, dict) else []
     for child in doc.values() if isinstance(doc, dict) else doc:
         found += _duplicate_keys(child, seen)
     return found
@@ -700,7 +703,8 @@ class TestDuplicateKeys:
         kept, repeats = _keep_first(pairs)
         mapping = model._keyed_from_pairs(pairs)
         assert list(mapping.items()) == list(kept.items())
-        assert list(mapping.duplicate_keys) == repeats
+        assert list(getattr(mapping, "duplicate_keys", ())) == repeats
+        assert repeats or type(mapping) is dict
 
     @given(st.lists(st.tuples(_KEYS, st.one_of(st.integers(-9, 9), _PAIRS)), max_size=8))
     def test_json_and_yaml_record_the_same_duplicates(self, pairs):
@@ -716,7 +720,9 @@ class TestDuplicateKeys:
         from_yaml = model._parse_document(as_yaml)
         assert from_json == from_yaml
         assert _duplicate_keys(from_json) == _duplicate_keys(from_yaml)
-        assert list(from_json.duplicate_keys) == _keep_first(pairs)[1]
+        repeats = _keep_first(pairs)[1]
+        assert list(getattr(from_json, "duplicate_keys", ())) == repeats
+        assert repeats or type(from_json) is type(from_yaml) is dict
 
 
 MERGES = {

@@ -166,6 +166,41 @@ class TestTokenizePath:
             assert seg.raw == "" or seg.words or not any(c.isalnum() for c in seg.raw)
 
 
+# Braces, slashes and non-ASCII letters, digits and separators.
+unicode_path_text = st.text(alphabet="aZ9{}/-_.:éÉİǅßＡ²", max_size=30)
+
+
+def assert_segments_built_afresh(raw: str) -> None:
+    """Each cached segment of raw equals one built without the cache."""
+    template = tokenize_path(raw)
+    assert rebuilt(template) == raw
+    assert template.segments == tuple(uri._segment.__wrapped__(s.raw) for s in template.segments)
+
+
+class TestSegmentCache:
+    @given(st.lists(unicode_path_text, min_size=1, max_size=4))
+    def test_cached_segments_equal_fresh_ones(self, raws):
+        for raw in raws:
+            assert_segments_built_afresh(raw)
+        uri._segment.cache_clear()
+        for raw in raws:
+            assert_segments_built_afresh(raw)
+
+    def test_evicted_segments_are_rebuilt_alike(self):
+        uri._segment.cache_clear()
+        first = tokenize_path("/Café_menus/{İd}").segments
+        for i in range(5000):  # more distinct parts than the cache holds
+            tokenize_path(f"/p{i}é")
+        assert uri._segment.cache_info().currsize == 4096
+        assert tokenize_path("/Café_menus/{İd}").segments == first
+        assert_segments_built_afresh("/Café_menus/{İd}/p0é")
+
+    def test_equal_parts_share_one_segment(self):
+        a, b = tokenize_path("/a/users/{id}"), tokenize_path("/b/users/{id}")
+        assert a.segments[1:] == b.segments[1:]
+        assert all(x is y for x, y in zip(a.segments[1:], b.segments[1:]))
+
+
 class TestClassifyArchetypes:
     @pytest.fixture()
     def lex(self):
