@@ -102,7 +102,6 @@ class _KeyedDict(dict):
 
 
 def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
-    """A plain dict, or a _KeyedDict where a key repeats."""
     mapping = dict(pairs)  # keeps the last value of a repeated key
     if len(mapping) != len(pairs):
         mapping = _KeyedDict()
@@ -329,9 +328,8 @@ def _parse_document(data: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Model construction. Both parsers build every mapping as a dict, a _KeyedDict
-# only where a key repeats, so the builder tests for dict rather than the
-# slower Mapping ABC and reads duplicate_keys with getattr.
+# Model construction. Both parsers build every mapping as a dict (a _KeyedDict
+# only where a key repeats), so the builder tests for dict, not the Mapping ABC.
 # ---------------------------------------------------------------------------
 
 

@@ -599,19 +599,17 @@ def _mutated(source: Path, mutations: list) -> bytes:
     return data
 
 
-@contextlib.contextmanager
-def _captured_output():
-    """stdout and stderr as byte buffers; the CLI writes reports to stdout.buffer."""
-    out, err = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.TextIOWrapper(io.BytesIO(), "utf-8")
+def _run_main(argv: list[str]) -> tuple[int, bytes, list[str]]:
+    """cli.main in-process: its exit status, stdout bytes and stderr lines.
+
+    The CLI writes reports to stdout.buffer; stderr escapes as sys.stderr does.
+    """
+    out = io.TextIOWrapper(io.BytesIO(), "utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), "utf-8", errors="backslashreplace")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        yield out, err
+        status = main(argv)
     out.flush()
     err.flush()
-
-
-def _run_main(argv: list[str]) -> tuple[int, bytes, list[str]]:
-    with _captured_output() as (out, err):
-        status = main(argv)
     return status, out.buffer.getvalue(), err.buffer.getvalue().decode().splitlines()
 
 
@@ -630,7 +628,7 @@ class TestCliFuzz:
                 paths.append(str(path))
             status, out, err = _run_main(["lint", *paths])
         named = [line.split(": ", 1)[0] for line in err]
-        assert sorted(named) == sorted(set(named)) and set(named) <= set(paths), err
+        assert len(named) == len(set(named)) and set(named) <= set(paths), err
         if status == EXIT_ERROR:
             assert err
         else:
@@ -652,7 +650,7 @@ class TestCliFuzz:
         skipped = [line[len("skipping "):] for line in err if line.startswith("skipping ")]
         failed = [line for line in err if not line.startswith("skipping ")]
         named = [line.split(": ", 1)[0] for line in skipped + failed]
-        assert sorted(named) == sorted(set(named)) and set(named) <= set(files), err
+        assert len(named) == len(set(named)) and set(named) <= set(files), err
         assert all(line.endswith(": not an API description") for line in skipped), err
-        assert status == (EXIT_ERROR if failed else status) and out.startswith(b"rule,")
         assert status in ((EXIT_ERROR,) if failed else (EXIT_CLEAN, EXIT_VIOLATIONS))
+        assert out.startswith(b"rule,")
