@@ -40,6 +40,11 @@ def rebuilt(template) -> str:
     return lead + "/".join(seg.raw for seg in template.segments) + trail
 
 
+def archetypes_of(template) -> list[Archetype]:
+    """The archetype of each segment of a classified template, in order."""
+    return [s.archetype for s in template.segments]
+
+
 class TestSplitWords:
     def test_camel_case(self):
         assert split_words("userProfiles") == (("user", "profiles"), frozenset({"case"}))
@@ -235,6 +240,36 @@ class TestClassifyArchetypes:
         assert pinned.segments[2].archetype is Archetype.DOCUMENT
         default = classify_archetypes(template, lex)
         assert default.segments[2].archetype is Archetype.COLLECTION
+
+    C, D, V, N, U = (Archetype.COLLECTION, Archetype.DOCUMENT, Archetype.CONTROLLER,
+                     Archetype.NEUTRAL, Archetype.UNKNOWN)
+
+    # One template per branch of the classifier's decision chain, in its order.
+    @pytest.mark.parametrize("raw, overrides, expected", [
+        pytest.param("/users/{id}/profiles", {2: D}, [C, D, D], id="override"),
+        pytest.param("/{id}", None, [D], id="parameter"),
+        pytest.param("/users//{id}", None, [C, U, D], id="empty-segment"),
+        pytest.param("/activate/{id}", None, [C, D], id="literal-before-parameter"),
+        pytest.param("/users/activate", None, [C, V], id="final-verb"),
+        pytest.param("/users/activate//", None, [C, V, U], id="final-nonempty-verb"),
+        pytest.param("/users/fetch", None, [C, V], id="final-crud-token-not-a-verb"),
+        pytest.param("/users/fetch/stats", None, [C, D, C], id="crud-token-not-final"),
+        pytest.param("/api/v2/users", None, [N, N, C], id="neutral"),
+        pytest.param("/123", None, [U], id="no-alphabetic-head-word"),
+        pytest.param("/order-items", None, [C], id="plural-head"),
+        pytest.param("/userProfile", None, [D], id="singular-head"),
+    ])
+    def test_decision_branches(self, lex, raw, overrides, expected):
+        assert "fetch" not in lex.verb_set and lex.crud_token_to_method["fetch"] == "GET"
+        template = classify_archetypes(tokenize_path(raw), lex, overrides)
+        assert archetypes_of(template) == expected
+
+    @given(unicode_path_text)
+    def test_one_archetype_per_segment_and_idempotent(self, raw):
+        lex = default_lexicon()
+        once = classify_archetypes(tokenize_path(raw), lex)
+        assert len(archetypes_of(once)) == len(once.segments)
+        assert classify_archetypes(once, lex) == once
 
     def test_empty_segments_stay_unknown(self, lex):
         template = classify_archetypes(tokenize_path("/a//b"), lex)
