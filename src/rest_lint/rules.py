@@ -194,8 +194,8 @@ def check_plural_noun(spec: ApiSpecification, templates: Templates, actions: Act
                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
     """Collection segments must have a plural head word."""
     for path, template in templates.items():
-        for seg in template.segments:
-            if seg.archetype is Archetype.COLLECTION and seg.words:
+        for seg, archetype in zip(template.segments, template.archetypes):
+            if archetype is Archetype.COLLECTION and seg.words:
                 if not is_plural(seg.words[-1], lexicon):
                     yield (path, None, None, seg.raw,
                            f"collection segment '{seg.raw}' should use a plural noun")
@@ -208,10 +208,10 @@ def check_singular_noun(spec: ApiSpecification, templates: Templates, actions: A
     Parameter segments are exempt: their runtime values are opaque.
     """
     for path, template in templates.items():
-        for seg in template.segments:
+        for seg, archetype in zip(template.segments, template.archetypes):
             if (
                 seg.kind is SegmentKind.LITERAL
-                and seg.archetype is Archetype.DOCUMENT
+                and archetype is Archetype.DOCUMENT
                 and seg.words
                 and is_plural(seg.words[-1], lexicon)
             ):
@@ -236,8 +236,8 @@ def check_verb_controller(spec: ApiSpecification, templates: Templates, actions:
     segment to the controller archetype.
     """
     for path, template in templates.items():
-        for seg in template.segments:
-            if seg.archetype is Archetype.CONTROLLER and seg.words:
+        for seg, archetype in zip(template.segments, template.archetypes):
+            if archetype is Archetype.CONTROLLER and seg.words:
                 if not is_verb(seg.words[0], lexicon):
                     yield (path, None, None, seg.raw,
                            f"controller segment '{seg.raw}' should start with a verb")

@@ -1,9 +1,11 @@
 """URI template tokenization and resource archetype classification.
 
 A path template is split into segments, each segment into lowercase
-word tokens, and every segment is assigned a resource archetype
-(collection, document, controller, neutral, or unknown). The archetype
-drives which naming rules apply to which segment.
+word tokens. A segment holds only what its text decides, so each
+distinct text is built once and shared. The classifier then gives the
+template one resource archetype per segment (collection, document,
+controller, neutral, or unknown), which decides which naming rules
+apply to which segment.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
+from .lexicon import WordLexicon, is_plural, is_verb
 
 # Boundary kinds reported by split_words.
 BOUNDARY_HYPHEN = "hyphen"
@@ -43,7 +44,7 @@ class Archetype(enum.Enum):
 
 
 class Segment(NamedTuple):
-    """One path segment with its word tokens and archetype.
+    """One path segment with its word tokens: what its text alone decides.
 
     ``raw`` keeps braces for parameters ("{userId}"); ``name`` is the
     text without braces. ``boundary_kinds`` records which word-boundary
@@ -55,15 +56,19 @@ class Segment(NamedTuple):
     name: str
     words: tuple[str, ...]
     boundary_kinds: frozenset[str]
-    archetype: Archetype
 
 
-@dataclass(frozen=True)
-class PathTemplate:
-    raw: str
+class PathTemplate(NamedTuple):
+    """A tokenized path template; its raw text is its key in the spec's paths.
+
+    ``archetypes`` holds one archetype per segment once classify_archetypes
+    has run, and is empty before.
+    """
+
     segments: tuple[Segment, ...]
     has_trailing_slash: bool
     has_empty_segment: bool
+    archetypes: tuple[Archetype, ...] = ()
 
 
 def split_words(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
@@ -138,13 +143,13 @@ def _transition_kind(prev: str, cur: str) -> str | None:
 
 @functools.lru_cache(maxsize=4096)
 def _segment(part: str) -> Segment:
-    """One path part's segment, archetype provisional. It depends on the text
-    alone and is immutable, so equal parts share one, in any template or spec."""
+    """One path part's segment. It depends on the text alone and is
+    immutable, so equal parts share one, in any template or spec."""
     if len(part) >= 2 and part.startswith("{") and part.endswith("}"):
-        kind, name, archetype = SegmentKind.PARAMETER, part[1:-1], Archetype.DOCUMENT
+        kind, name = SegmentKind.PARAMETER, part[1:-1]
     else:
-        kind, name, archetype = SegmentKind.LITERAL, part, Archetype.UNKNOWN
-    return Segment(kind, part, name, *split_words(name), archetype)
+        kind, name = SegmentKind.LITERAL, part
+    return Segment(kind, part, name, *split_words(name))
 
 
 def tokenize_path(raw: str) -> PathTemplate:
@@ -155,12 +160,7 @@ def tokenize_path(raw: str) -> PathTemplate:
         body = body[:-1]
     parts = body.split("/") if body else []
 
-    return PathTemplate(
-        raw=raw,
-        segments=tuple(map(_segment, parts)),
-        has_trailing_slash=has_trailing,
-        has_empty_segment="//" in raw,
-    )
+    return PathTemplate(tuple(map(_segment, parts)), has_trailing, "//" in raw)
 
 
 def classify_archetypes(
@@ -168,21 +168,22 @@ def classify_archetypes(
     lexicon: WordLexicon,
     overrides: Mapping[int, Archetype] | None = None,
 ) -> PathTemplate:
-    """Assign an archetype to every segment.
+    """The template with one archetype per segment in ``archetypes``.
 
     Decision order per segment: explicit override; parameters are
-    documents; a literal right before a parameter is the collection it
-    selects from; a final literal that reads as a verb (or starts with a
-    CRUD token) is a controller; remaining literals go by their head
-    word: neutral names stay structural, plural heads mean collection,
-    singular heads mean document. Segments with no usable head word stay
-    unknown. Idempotent for fixed inputs.
+    documents; empty segments stay unknown; a literal right before a
+    parameter is the collection it selects from; a final literal whose
+    first word is a verb (the lexicon's verbs and CRUD tokens) is a
+    controller; remaining literals go by their head word: neutral names
+    stay structural, plural heads mean collection, singular heads mean
+    document. Segments with no usable head word stay unknown. Segments
+    are never rebuilt, and a classified template may be classified again:
+    the result is the same for fixed inputs.
     """
     segments = path.segments
-    nonempty = [i for i, seg in enumerate(segments) if seg.raw]
-    final_idx = nonempty[-1] if nonempty else None
+    final_idx = next((i for i in reversed(range(len(segments))) if segments[i].raw), -1)
 
-    classified = []
+    archetypes = []
     for i, seg in enumerate(segments):
         if overrides and i in overrides:
             archetype = overrides[i]
@@ -192,11 +193,7 @@ def classify_archetypes(
             archetype = Archetype.UNKNOWN
         elif i + 1 < len(segments) and segments[i + 1].kind is SegmentKind.PARAMETER:
             archetype = Archetype.COLLECTION
-        elif (
-            i == final_idx
-            and seg.words
-            and (is_verb(seg.words[0], lexicon) or crud_method_of(seg.words[0], lexicon))
-        ):
+        elif i == final_idx and seg.words and is_verb(seg.words[0], lexicon):
             archetype = Archetype.CONTROLLER
         elif lexicon.is_neutral_segment(seg.name.lower()):
             archetype = Archetype.NEUTRAL
@@ -206,10 +203,5 @@ def classify_archetypes(
             archetype = Archetype.COLLECTION
         else:
             archetype = Archetype.DOCUMENT
-        if seg.archetype is not archetype:
-            seg = Segment(*seg[:-1], archetype)
-        classified.append(seg)
-
-    return PathTemplate(
-        path.raw, tuple(classified), path.has_trailing_slash, path.has_empty_segment
-    )
+        archetypes.append(archetype)
+    return path._replace(archetypes=tuple(archetypes))

@@ -33,16 +33,17 @@ path_text = st.text(
 )
 
 
-def rebuilt(template) -> str:
-    """The raw template rebuilt from its segments and trailing slash."""
-    lead = "/" if template.raw.startswith("/") else ""
+def rebuilt(template, raw: str) -> str:
+    """The raw template rebuilt from its segments and trailing slash; the
+    leading slash, which the template does not record, is taken from raw."""
+    lead = "/" if raw.startswith("/") else ""
     trail = "/" if template.has_trailing_slash else ""
     return lead + "/".join(seg.raw for seg in template.segments) + trail
 
 
 def archetypes_of(template) -> list[Archetype]:
     """The archetype of each segment of a classified template, in order."""
-    return [s.archetype for s in template.segments]
+    return list(template.archetypes)
 
 
 class TestSplitWords:
@@ -152,17 +153,17 @@ class TestTokenizePath:
     def test_segment_is_a_tuple(self):
         seg = tokenize_path("/userId").segments[0]
         assert seg == (SegmentKind.LITERAL, "userId", "userId", ("user", "id"),
-                       frozenset({"case"}), Archetype.UNKNOWN)
+                       frozenset({"case"}))
         kind, raw, *_ = seg
         assert (kind, raw) == (seg.kind, seg.raw) and isinstance(seg, Segment)
 
     def test_parameter_segments_start_as_documents(self):
-        seg = tokenize_path("/users/{id}").segments[1]
-        assert seg.archetype is Archetype.DOCUMENT
+        template = classify_archetypes(tokenize_path("/users/{id}"), default_lexicon())
+        assert template.archetypes[1] is Archetype.DOCUMENT
 
     @given(path_text)
     def test_reconstruction_is_exact(self, raw):
-        assert rebuilt(tokenize_path(raw)) == raw
+        assert rebuilt(tokenize_path(raw), raw) == raw
 
     @given(path_text)
     def test_total_no_crash(self, raw):
@@ -178,7 +179,7 @@ unicode_path_text = st.text(alphabet="aZ9{}/-_.:éÉİǅßＡ²", max_size=30)
 def assert_segments_built_afresh(raw: str) -> None:
     """Each cached segment of raw equals one built without the cache."""
     template = tokenize_path(raw)
-    assert rebuilt(template) == raw
+    assert rebuilt(template, raw) == raw
     assert template.segments == tuple(uri._segment.__wrapped__(s.raw) for s in template.segments)
 
 
@@ -215,7 +216,7 @@ class TestClassifyArchetypes:
         corpus = json.loads((FIXTURES / "archetypes.json").read_text(encoding="utf-8"))
         for entry in corpus:
             template = classify_archetypes(tokenize_path(entry["path"]), lex)
-            got = [s.archetype.value for s in template.segments]
+            got = [a.value for a in template.archetypes]
             assert got == entry["expected_archetypes"], entry["path"]
 
     def test_idempotent(self, lex):
@@ -232,14 +233,14 @@ class TestClassifyArchetypes:
         segs = template.segments
         for i, seg in enumerate(segs[:-1]):
             if seg.kind is SegmentKind.LITERAL and segs[i + 1].kind is SegmentKind.PARAMETER:
-                assert seg.archetype is not Archetype.CONTROLLER
+                assert template.archetypes[i] is not Archetype.CONTROLLER
 
     def test_override_pins_archetype(self, lex):
         template = tokenize_path("/users/{id}/profiles")
         pinned = classify_archetypes(template, lex, overrides={2: Archetype.DOCUMENT})
-        assert pinned.segments[2].archetype is Archetype.DOCUMENT
+        assert pinned.archetypes[2] is Archetype.DOCUMENT
         default = classify_archetypes(template, lex)
-        assert default.segments[2].archetype is Archetype.COLLECTION
+        assert default.archetypes[2] is Archetype.COLLECTION
 
     C, D, V, N, U = (Archetype.COLLECTION, Archetype.DOCUMENT, Archetype.CONTROLLER,
                      Archetype.NEUTRAL, Archetype.UNKNOWN)
@@ -271,9 +272,15 @@ class TestClassifyArchetypes:
         assert len(archetypes_of(once)) == len(once.segments)
         assert classify_archetypes(once, lex) == once
 
+    def test_segments_are_never_rebuilt(self, lex):
+        template = tokenize_path("/users/{id}/activate")
+        classified = classify_archetypes(template, lex, overrides={0: Archetype.NEUTRAL})
+        assert template.archetypes == ()
+        assert classified.segments is template.segments
+
     def test_empty_segments_stay_unknown(self, lex):
         template = classify_archetypes(tokenize_path("/a//b"), lex)
-        assert template.segments[1].archetype is Archetype.UNKNOWN
+        assert template.archetypes[1] is Archetype.UNKNOWN
 
     @given(path_text)
     def test_classification_does_not_change_tokens(self, raw):
@@ -285,4 +292,4 @@ class TestClassifyArchetypes:
 
         assert tokens(after) == tokens(before)
         assert after.has_trailing_slash == before.has_trailing_slash
-        assert rebuilt(after) == raw
+        assert rebuilt(after, raw) == raw
