@@ -499,6 +499,9 @@ def _build_operation(
     responses: dict[str, frozenset[str]] = {}
     raw_responses = op.get("responses")
     if isinstance(raw_responses, dict):
+        for dup in getattr(raw_responses, "duplicate_keys", ()):
+            if (key := build.status_key(dup)) is not None:
+                build.diag(f"{where}: duplicate response status {key!r}; first kept")
         for status, value in raw_responses.items():
             key = build.status_key(status)
             if key is None:

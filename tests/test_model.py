@@ -362,6 +362,15 @@ class TestDiagnostics:
         (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
          b"        200: {description: int}\n        '200': {description: str}\n",
          VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+        (b'{"openapi":"3.0.0","paths":{"/a":{"get":{"responses":'
+         b'{"200":{"description":"a"},"200":{"description":"b"}}}}}}',
+         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+        (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
+         b"        200: {description: a}\n        200: {description: b}\n",
+         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+        (b'{"openapi":"3.0.0","paths":{"/a":{"get":{"responses":'
+         b'{"foo":{"description":"a"},"foo":{"description":"b"},"200":{"description":"c"}}}}}}',
+         VersionKind.OPENAPI3, ("/a GET: invalid response status key 'foo'; dropped",)),
         (spec_bytes({"openapi": "3.0.0", "paths": {
             "/b": {"parameters": [{"$ref": "#/nope"}], "get": {"$ref": "#/y"},
                    "post": {"parameters": [{"$ref": "other#/p"}],
@@ -382,7 +391,8 @@ class TestDiagnostics:
     ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
             "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
             "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
-            "duplicate-response-status", "ref-contexts", "status-keys-that-hash-alike"])
+            "duplicate-response-status", "repeated-response-status-json",
+            "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts", "status-keys-that-hash-alike"])
     def test_builder_diagnostics(self, raw, version, diagnostics):
         spec = load_spec(raw, "diag")
         assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
