@@ -654,3 +654,29 @@ class TestCliFuzz:
         assert all(line.endswith(": not an API description") for line in skipped), err
         assert status in ((EXIT_ERROR,) if failed else (EXIT_CLEAN, EXIT_VIOLATIONS))
         assert out.startswith(b"rule,")
+
+
+# Path-template text: braces, slashes, accented, titlecase and full-width letters,
+# a superscript digit, and lone-surrogate escapes as a JSON file may hold them.
+_TEMPLATE_ATOM = st.sampled_from(
+    ["/", "{", "}", "a", "Z", "-", "_", "é", "İ", "ǅ", "ß", "Ａ", "²", r"\ud800", r"\udc00"])
+_TEMPLATE_LITERAL = st.lists(_TEMPLATE_ATOM, max_size=12).map(lambda atoms: "/" + "".join(atoms))
+
+
+class TestGeneratedNonAsciiTemplates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TEMPLATE_LITERAL, min_size=1, max_size=4))
+    def test_lint_reports_every_finding_on_a_generated_template(self, literals):
+        # Each literal is written into the JSON text as is, so its escapes decode there.
+        items = ",".join(f'"{text}":{{"get":{{"responses":{{"200":{{"description":"x"}}}}}}}}'
+                         for text in literals)
+        templates = {json.loads(f'"{text}"') for text in literals}
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = Path(tmp) / "spec.json"
+            spec.write_text('{"swagger":"2.0","paths":{' + items + "}}", encoding="utf-8")
+            for fmt in ("json", "text"):
+                status, out, err = _run_main(["lint", "--format", fmt, str(spec)])
+                assert status in (EXIT_CLEAN, EXIT_VIOLATIONS) and err == [] and out
+                if fmt == "json":
+                    report = json.loads(out)
+                    assert {v["path"] for v in report["violations"]} <= templates
