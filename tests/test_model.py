@@ -392,7 +392,8 @@ class TestDiagnostics:
             "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
             "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
             "duplicate-response-status", "repeated-response-status-json",
-            "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts", "status-keys-that-hash-alike"])
+            "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts",
+            "status-keys-that-hash-alike"])
     def test_builder_diagnostics(self, raw, version, diagnostics):
         spec = load_spec(raw, "diag")
         assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
