@@ -12,9 +12,8 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
 from .lexicon import WordLexicon, default_lexicon, load_lexicon
@@ -34,11 +33,10 @@ EXIT_ERROR = 2
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class LintConfig(NamedTuple):
     lexicon_path: str | None = None
     output_format: str = "text"
-    rules: RuleConfig = field(default_factory=RuleConfig)
+    rules: RuleConfig = RuleConfig()
 
 
 _CONFIG_FIELDS = {"enabled_rules", "lexicon_path", "exempt_parameter_names", "output_format",
@@ -72,7 +70,7 @@ def load_config(path: str | Path | None = None) -> LintConfig:
         names = doc["enabled_rules"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ConfigError("enabled_rules: expected a list of rule names")
-        rules = replace(rules, enabled=frozenset(_parse_rule(n) for n in names))
+        rules = rules._replace(enabled=frozenset(_parse_rule(n) for n in names))
 
     if "lexicon_path" in doc:
         value = doc["lexicon_path"]
@@ -80,19 +78,19 @@ def load_config(path: str | Path | None = None) -> LintConfig:
             raise ConfigError("lexicon_path: expected a string or null")
         if value:  # a relative path names a file beside the config file
             value = os.path.join(os.path.dirname(path), value)
-        cfg = replace(cfg, lexicon_path=value)
+        cfg = cfg._replace(lexicon_path=value)
 
     if "exempt_parameter_names" in doc:
         value = doc["exempt_parameter_names"]
         if not isinstance(value, bool):
             raise ConfigError("exempt_parameter_names: expected true or false")
-        rules = replace(rules, exempt_parameter_names=value)
+        rules = rules._replace(exempt_parameter_names=value)
 
     if "output_format" in doc:
         value = doc["output_format"]
         if value not in FORMATS:
             raise ConfigError(f"output_format: expected one of {FORMATS}, got {value!r}")
-        cfg = replace(cfg, output_format=value)
+        cfg = cfg._replace(output_format=value)
 
     if "archetype_overrides" in doc:
         entries = doc["archetype_overrides"]
@@ -106,9 +104,9 @@ def load_config(path: str | Path | None = None) -> LintConfig:
                 raise ConfigError(f"archetype_overrides[{i}]: segment {segment_index} of "
                                   f"{path!r} in {spec_id!r} is already overridden")
             pinned[segment_index] = archetype
-        rules = replace(rules, archetype_overrides=overrides)
+        rules = rules._replace(archetype_overrides=overrides)
 
-    return replace(cfg, rules=rules)
+    return cfg._replace(rules=rules)
 
 
 def _parse_rule(name: str) -> RuleId:
@@ -262,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.format:
-            cfg = replace(cfg, output_format=args.format)
+            cfg = cfg._replace(output_format=args.format)
         if args.command == "lint":
             if cfg.output_format == "csv":
                 raise ConfigError("output_format: csv applies to aggregate only; "

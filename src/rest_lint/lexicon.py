@@ -10,11 +10,10 @@ exceptions that matter, and known misses are a documented limitation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import LexiconError
 
@@ -23,8 +22,7 @@ _SECTIONS = ("irregular", "invariant", "verb", "crud", "neutral")
 _VERSION_SEGMENT = re.compile(r"^v\d+$")
 
 
-@dataclass(frozen=True)
-class WordLexicon:
+class WordLexicon(NamedTuple):
     """Immutable word lists backing the noun/verb/CRUD decisions."""
 
     irregular_plural_to_singular: Mapping[str, str]
@@ -32,11 +30,7 @@ class WordLexicon:
     verb_set: frozenset[str]
     crud_token_to_method: Mapping[str, str]
     neutral_segments: frozenset[str]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_irregular_singulars", frozenset(self.irregular_plural_to_singular.values())
-        )
+    irregular_singulars: frozenset[str]  # the values of irregular_plural_to_singular
 
     def is_neutral_segment(self, name: str) -> bool:
         """True for structural segments ("api", "rest", "v2", ...)."""
@@ -54,7 +48,7 @@ def is_plural(word: str, lexicon: WordLexicon) -> bool:
         return True
     if word in lexicon.invariant_forms:
         return False
-    if word in lexicon._irregular_singulars:  # type: ignore[attr-defined]
+    if word in lexicon.irregular_singulars:
         return False
     return word.endswith("s") and not word.endswith(("ss", "us", "is"))
 
@@ -130,4 +124,5 @@ def parse_lexicon(text: str, source: str = "<string>") -> WordLexicon:
         verb_set=frozenset(verbs),
         crud_token_to_method=dict(sorted(crud.items())),
         neutral_segments=frozenset(neutral),
+        irregular_singulars=frozenset(irregular.values()),
     )

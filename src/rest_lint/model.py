@@ -19,7 +19,6 @@ import json
 import re
 import types
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, NamedTuple
 
@@ -35,7 +34,16 @@ _SWAGGER2_METHOD_KEYS = {k: m for k, m in _METHOD_KEYS.items() if m != "TRACE"}
 _STATUS_KEY = re.compile(r"^[0-9X]{3}$")
 _TOKEN = r"[0-9A-Za-z!#$%&'*+.^_`|~-]+"
 _MEDIA_TYPE = re.compile(rf"^{_TOKEN}/{_TOKEN}(\s*;.*)?$")
+# One shared empty set: each frozenset() call makes a new one, and an
+# OpenAPI 3 response without content would hold its own.
+_NO_MEDIA: frozenset[str] = frozenset()
 _MAX_REF_DEPTH = 32
+# Operations, responses and parameters one document may build, an aliased or
+# $ref-shared node each time it is used, so that aliases cannot grow the model
+# with the expanded document. 5.06 times the 82,947 of the perfbench lint-json
+# spec; low enough that a 113 KB file expanding to 4 million responses exits
+# in under a second.
+_MAX_MODEL_NODES = 420_000
 
 
 class VersionKind(enum.Enum):
@@ -54,13 +62,11 @@ class OperationRecord(NamedTuple):
     query_parameter_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PathEntry:
+class PathEntry(NamedTuple):
     operations: dict[str, OperationRecord]
 
 
-@dataclass(frozen=True)
-class ApiSpecification:
+class ApiSpecification(NamedTuple):
     spec_id: str
     version_kind: VersionKind
     paths: dict[str, PathEntry]
@@ -74,11 +80,12 @@ def load_spec(source: bytes | BinaryIO, spec_id: str) -> ApiSpecification:
     for documents with neither a ``paths`` section nor a version marker.
     """
     data = source if isinstance(source, bytes) else source.read()
-    doc = _parse_document(data)
+    diagnostics: list[str] = []  # the parser's, then the builder's
+    doc = _parse_document(data, diagnostics)
     if not isinstance(doc, dict):
         raise NotAnApiSpec(f"{spec_id}: document is not a JSON/YAML object")
     try:
-        return _build_spec(doc, spec_id)
+        return _build_spec(doc, spec_id, diagnostics)
     except ValueError as exc:  # str() of a long YAML integer not written in decimal
         raise ParseError(f"number too long: {exc}") from exc
 
@@ -132,6 +139,8 @@ _PURE_PYTHON_CHARS = "\t\ufeff"
 # LibYAML also reads a "#" right after a block scalar header, which the
 # pure-Python scanner rejects.
 _BLOCK_HEADER_COMMENT = re.compile(r"[|>](?:[-+]?[1-9]?|[1-9][-+])#")
+# Text that starts like a JSON object or array; matched in place, not copied.
+_JSON_START = re.compile(r"\s*[{\[]")
 
 
 def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
@@ -290,7 +299,9 @@ def _load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=_DupSafeLoader)
 
 
-def _parse_document(data: bytes) -> Any:
+def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
+    """The document's JSON reading, else its YAML reading. JSON-looking text
+    read as YAML adds a note to diagnostics, where given."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -307,13 +318,13 @@ def _parse_document(data: bytes) -> Any:
         raise ParseError("document nesting too deep") from exc
     except ValueError as exc:  # a number beyond Python's limit on integer digits
         raise ParseError(f"invalid JSON: {exc}") from exc
+    msg, line, column = json_error
     try:
-        return _load_yaml(text)
+        doc = _load_yaml(text)
     except RecursionError as exc:
         raise ParseError("document nesting too deep") from exc
     except Exception as yaml_exc:  # parser layer: any other failure is a parse error
-        if text.lstrip()[:1] in ("{", "["):
-            msg, line, column = json_error
+        if _JSON_START.match(text):
             raise ParseError(
                 f"invalid JSON: {msg}", position=f"line {line} column {column}"
             ) from yaml_exc
@@ -325,6 +336,9 @@ def _parse_document(data: bytes) -> Any:
         else:
             problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
         raise ParseError(f"invalid YAML: {problem}", position=position) from yaml_exc
+    if diagnostics is not None and _JSON_START.match(text):
+        diagnostics.append(f"not valid JSON ({msg} at line {line} column {column}); read as YAML")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +347,18 @@ def _parse_document(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Build:
     """The document, what its root declares for every operation, and the diagnostics."""
 
-    root: Mapping[str, Any]
-    version_kind: VersionKind = VersionKind.OPENAPI3
-    consumes: frozenset[str] = frozenset()  # root media lists, inherited in Swagger 2
-    produces: frozenset[str] = frozenset()
-    requires_credentials: bool = False  # the root's security, where an operation has none
-    diagnostics: list[str] = field(default_factory=list)
-    status_keys: dict[str | int, str | None] = field(default_factory=dict)
+    def __init__(self, root: Mapping[str, Any], diagnostics: list[str]) -> None:
+        self.root = root
+        self.version_kind = VersionKind.OPENAPI3
+        self.consumes: frozenset[str] = _NO_MEDIA  # root media lists, inherited in Swagger 2
+        self.produces: frozenset[str] = _NO_MEDIA
+        self.requires_credentials = False  # the root's security, where an operation has none
+        self.diagnostics = diagnostics
+        self.status_keys: dict[str | int, str | None] = {}
+        self.built = 0  # operations, responses and parameters, a shared node each time used
 
     def diag(self, message: str) -> None:
         self.diagnostics.append(message)
@@ -375,6 +390,14 @@ class _Build:
             depth += 1
         return node
 
+    def count(self, nodes: int) -> None:
+        """Count nodes about to be built; past _MAX_MODEL_NODES the document is refused."""
+        self.built += nodes
+        if self.built > _MAX_MODEL_NODES:
+            raise ParseError(f"model too large: more than {_MAX_MODEL_NODES} operations, "
+                             "responses and parameters, an alias or shared $ref counted "
+                             "each time it is used")
+
     def status_key(self, status: Any) -> str | None:
         """_normalize_status_key, memoized for str and int keys only: True, 1 and
         1.0 are one dict key, but read "True", "1" and "1.0"."""
@@ -385,8 +408,8 @@ class _Build:
         return self.status_keys[status]
 
 
-def _build_spec(doc: Mapping[str, Any], spec_id: str) -> ApiSpecification:
-    build = _Build(root=doc)
+def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) -> ApiSpecification:
+    build = _Build(doc, diagnostics)
 
     swagger = doc.get("swagger")
     if swagger is not None and str(swagger).startswith("2"):
@@ -466,8 +489,12 @@ def _build_operation(
     shared_params: list[Mapping[str, Any]],
     build: _Build,
 ) -> OperationRecord:
+    raw_params, raw_responses = op.get("parameters"), op.get("responses")
+    build.count(1 + len(shared_params)
+                + (len(raw_params) if isinstance(raw_params, list) else 0)
+                + (len(raw_responses) if isinstance(raw_responses, dict) else 0))
     where = f"{template} {method}"
-    params = shared_params + _parameter_objects(op.get("parameters"), where, build)
+    params = shared_params + _parameter_objects(raw_params, where, build)
 
     query_names: list[str] = []
     for p in params:
@@ -476,7 +503,7 @@ def _build_operation(
             if name not in query_names:
                 query_names.append(name)
 
-    produces: frozenset[str] = frozenset()
+    produces: frozenset[str] = _NO_MEDIA
     if build.version_kind is VersionKind.SWAGGER2:
         # Operation-level consumes/produces override the root lists;
         # an explicit empty list clears the inherited one.
@@ -489,7 +516,7 @@ def _build_operation(
             produces = build.produces
         else:
             produces = _media_list(op.get("produces"), build, where, "produces")
-        request_media = consumes if has_body else frozenset()
+        request_media = consumes if has_body else _NO_MEDIA
     else:
         raw_body = op.get("requestBody")
         body = build.deref(raw_body, where, "requestBody")
@@ -497,7 +524,6 @@ def _build_operation(
         request_media = _content_media(body, build, where, "requestBody")
 
     responses: dict[str, frozenset[str]] = {}
-    raw_responses = op.get("responses")
     if isinstance(raw_responses, dict):
         for dup in getattr(raw_responses, "duplicate_keys", ()):
             if (key := build.status_key(dup)) is not None:
@@ -557,19 +583,19 @@ def _requires_credentials(value: Any) -> bool:
 
 def _media_list(value: Any, build: _Build, where: str, detail: str) -> frozenset[str]:
     if value is None:
-        return frozenset()
+        return _NO_MEDIA
     if not isinstance(value, list):
         build.diag(f"{where} {detail}: expected a list of media types; ignored")
-        return frozenset()
+        return _NO_MEDIA
     return _valid_media(value, build, where, detail)
 
 
 def _content_media(node: Any, build: _Build, where: str, detail: str) -> frozenset[str]:
     if not isinstance(node, dict):
-        return frozenset()
+        return _NO_MEDIA
     content = node.get("content")
     if not isinstance(content, dict):
-        return frozenset()
+        return _NO_MEDIA
     return _valid_media(content, build, where, detail)
 
 

@@ -9,9 +9,8 @@ projects (rounded half up). Rendering is deterministic bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, UnsupportedFormat
 from .rules import RULE_NAMES, RULE_ORDER, RuleId, Violation
@@ -19,23 +18,20 @@ from .rules import RULE_NAMES, RULE_ORDER, RuleId, Violation
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass(frozen=True)
-class LintReport:
+class LintReport(NamedTuple):
     spec_id: str
     violations: tuple[Violation, ...]
     counts: Mapping[RuleId, int]
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     rule: RuleId
     occurrences: int
     projects_affected: int
     percentage: int
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     total_projects: int
     rows: tuple[SummaryRow, ...]
 

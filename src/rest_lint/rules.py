@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+import types
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
@@ -104,18 +104,17 @@ class Violation(NamedTuple):
                 self.status_key or "")
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(NamedTuple):
     """Which rules run and how URI segments may be reinterpreted.
 
     archetype_overrides pins a segment's archetype, keyed by
-    (spec_id, raw path template) -> {segment index: archetype}.
+    (spec_id, raw path template) -> {segment index: archetype}; the
+    default, shared by every instance, is read-only.
     """
 
     enabled: frozenset[RuleId] = ALL_RULES
-    archetype_overrides: Mapping[tuple[str, str], Mapping[int, Archetype]] = field(
-        default_factory=dict
-    )
+    archetype_overrides: Mapping[tuple[str, str], Mapping[int, Archetype]] = (
+        types.MappingProxyType({}))
     exempt_parameter_names: bool = True
 
 

@@ -39,6 +39,21 @@ needs_int_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-string conversion")
 
 
+def amplification_yaml() -> str:
+    """113 KB of YAML whose 2,000 paths alias one operation for four methods, and
+    that operation's responses alias one mapping of 500 statuses: 4 million
+    responses once the aliases are expanded."""
+    lines = ["openapi: 3.0.0", "x-responses: &r"]
+    lines += [f"  {status}: {{description: x}}" for status in range(100, 600)]
+    lines += ["x-operation: &o", "  responses: *r", "paths:"]
+    lines += [f"  /p{i}: {{get: *o, put: *o, post: *o, delete: *o}}" for i in range(2000)]
+    return "\n".join(lines) + "\n"
+
+
+MODEL_TOO_LARGE = ("model too large: more than 420000 operations, responses and parameters, "
+                   "an alias or shared $ref counted each time it is used\n")
+
+
 def write_config(tmp_path: Path, doc: object) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -346,6 +361,14 @@ class TestLintCommand:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout.startswith(f"{CLEAN}: 0 violations")
 
+    def test_alias_amplification_exits_two(self, tmp_path):
+        target = tmp_path / "amplified.yaml"
+        target.write_text(amplification_yaml(), encoding="utf-8")
+        proc = run_cli("lint", "--format", "json", str(target))
+        assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
+        assert proc.stderr == f"{target}: {MODEL_TOO_LARGE}"
+        assert proc.stdout == ""
+
     def test_report_is_written_whatever_the_stdout_encoding(self, tmp_path, capsys):
         # The report goes out as UTF-8 bytes even where stdout's text layer is ASCII.
         target = tmp_path / "\u00fcn\u00ef.json"
@@ -507,6 +530,15 @@ class TestAggregateCommand:
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == EXPECTED_CSV
 
+    def test_alias_amplification_exits_two_and_others_still_lint(self, tmp_path):
+        root = build_corpus(tmp_path)
+        bad = root / "bravo" / "amplified.yaml"
+        bad.write_text(amplification_yaml(), encoding="utf-8")
+        proc = run_cli("aggregate", "--format", "csv", str(root))
+        assert proc.returncode == EXIT_ERROR, proc.stderr[-300:]
+        assert proc.stderr == f"{bad}: {MODEL_TOO_LARGE}"
+        assert proc.stdout == EXPECTED_CSV
+
     def test_repeated_runs_identical(self, tmp_path, capsys):
         root = build_corpus(tmp_path)
         main(["aggregate", str(root), "--format", "csv"])
@@ -524,6 +556,20 @@ class TestAggregateCommand:
         main(["aggregate", str(root), "--format", "csv"])
         out = capsys.readouterr().out
         assert "NoCRUDNames,1,1,100" in out
+
+
+class TestStartUp:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # Every rest-lint process pays for what importing the CLI loads; compare
+        # against sys.modules before the import, which site may have filled.
+        code = ("import sys; before = set(sys.modules); import rest_lint.cli; "
+                "rest_lint.default_lexicon(); "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr[-300:]
+        assert proc.stdout == "[]\n"
 
 
 class TestGarbageCollection:

@@ -388,12 +388,19 @@ class TestDiagnostics:
         (STATUS_KEYS_THAT_HASH_ALIKE, VersionKind.OPENAPI3,
          ("/c GET: duplicate response status '200'; first kept",
           "/c GET: invalid response status key True; dropped")),
+        (b'{"swagger": "2.0", "paths": {"/\\xe9": {"get": {"responses": {"200": {}}}}}}',
+         VersionKind.SWAGGER2,
+         ("not valid JSON (Invalid \\escape at line 1 column 32); read as YAML",)),
+        (b"\n  {openapi: 3.0.0, paths: {/a: {get: {responses: {200: {description: x}}}}}}",
+         VersionKind.OPENAPI3,
+         ("not valid JSON (Expecting property name enclosed in double quotes at line 2 "
+          "column 4); read as YAML",)),
     ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
             "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
             "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
             "duplicate-response-status", "repeated-response-status-json",
             "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts",
-            "status-keys-that-hash-alike"])
+            "status-keys-that-hash-alike", "json-escape-read-as-yaml", "yaml-flow-mapping"])
     def test_builder_diagnostics(self, raw, version, diagnostics):
         spec = load_spec(raw, "diag")
         assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
@@ -411,6 +418,26 @@ class TestDiagnostics:
         assert set(operations["POST"].responses) == {"201"}
         assert spec.diagnostics[2:] == ("/c POST: invalid response status key 200.0; dropped",
                                         "/c POST: invalid response status key 1; dropped")
+
+
+class TestModelBudget:
+    # Each use of the shared operation builds 5 nodes: itself, 2 responses, the
+    # path-level parameter and its own $ref-shared parameter.
+    SHARED = spec_bytes({
+        "openapi": "3.0.0",
+        "x-parameter": {"in": "query", "name": "q"},
+        "x-operation": {"parameters": [{"$ref": "#/x-parameter"}],
+                        "responses": {"200": {"description": "a"}, "404": {"description": "b"}}},
+        "paths": {"/a": {"parameters": [{"in": "query", "name": "p"}],
+                         "get": {"$ref": "#/x-operation"}, "put": {"$ref": "#/x-operation"}}},
+    })
+
+    def test_shared_nodes_count_each_time_used(self, monkeypatch):
+        monkeypatch.setattr(model, "_MAX_MODEL_NODES", 10)
+        assert list(load_spec(self.SHARED, "s").paths["/a"].operations) == ["GET", "PUT"]
+        monkeypatch.setattr(model, "_MAX_MODEL_NODES", 9)
+        with pytest.raises(ParseError, match=r"^model too large: more than 9 operations"):
+            load_spec(self.SHARED, "s")
 
 
 class TestReferences:
