@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import CORPUS
 from rest_lint import (
     NotAnApiSpec,
+    OperationRecord,
     ParseError,
     VersionKind,
     load_spec,
@@ -515,6 +516,16 @@ class TestQueryParameters:
         }
         spec = load_spec(spec_bytes(doc), "qp")
         assert spec.paths["/users"].operations["GET"].query_parameter_names == ("tenant", "page")
+
+    def test_operations_are_operation_records(self):
+        for data in (MINIMAL_V3, (CORPUS / "create_user.json").read_bytes()):
+            for entry in load_spec(data, "r").paths.values():
+                for op in entry.operations.values():
+                    assert type(op) is OperationRecord
+                    assert op == tuple(getattr(op, name) for name in OperationRecord._fields)
+                    changed = op._replace(operation_id="x")
+                    assert type(changed) is OperationRecord and changed.operation_id == "x"
+                    assert changed[1:] == op[1:]
 
 
 def _duplicate_keys(doc, seen=None) -> list:

@@ -80,6 +80,27 @@ class TestBuildReport:
         assert found[0]["fragment"] == "create"
         assert "'create-user'" in found[0]["message"]
 
+    @given(st.data())
+    def test_equals_reference(self, data):
+        # Few distinct values, so keys repeat; a repeat may be the same object.
+        drawn = data.draw(st.lists(st.builds(
+            Violation, _RULES, st.sampled_from(["/a", "/b", ""]),
+            st.sampled_from([None, "", "GET"]), st.sampled_from([None, "", "200"]),
+            st.sampled_from(["x", ""]), st.text(max_size=2)), max_size=12))
+        repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=4) if drawn else st.just([]))
+        violations = drawn + repeats
+        assert build_report("s", violations) == _report_via_sort_key("s", violations)
+
+
+def _report_via_sort_key(spec_id: str, violations: list[Violation]) -> LintReport:
+    """The oracle: keep the first violation of each sort_key(), sort, count per rule."""
+    unique: dict[tuple, Violation] = {}
+    for violation in violations:
+        unique.setdefault(violation.sort_key(), violation)
+    ordered = tuple(unique[key] for key in sorted(unique))
+    counts = {rule: sum(v.rule is rule for v in ordered) for rule in RuleId}
+    return LintReport(spec_id, ordered, counts)
+
 
 class TestAggregate:
     def test_half_case_rounds_up(self):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import string
 
 import pytest
 from conftest import CORPUS, lint_fixture, rule_config_for
+from hypothesis import given
+from hypothesis import strategies as st
 from rest_lint import (
     ApiSpecification,
     Archetype,
+    OperationRecord,
     RuleConfig,
     RuleId,
     Violation,
@@ -16,7 +20,10 @@ from rest_lint import (
     default_lexicon,
     load_spec,
     load_spec_file,
+    rules,
     run_rules,
+    split_words,
+    tokenize_path,
 )
 
 LEX = default_lexicon()
@@ -295,6 +302,20 @@ class TestNoTunnel:
         spec = make_spec({"/users/delete": {"delete": get_op()}})
         assert check(RuleId.NO_TUNNEL, spec) == []
 
+    @given(st.text(st.sampled_from(string.ascii_letters + string.digits + "-_.~\ud800é²İǅＡ")
+                   | st.characters(exclude_categories=()), max_size=24))
+    def test_operation_id_words_are_split_words(self, text):
+        # A lexicon that reads every word as a CRUD token shows every operationId word.
+        lexicon = LEX._replace(crud_token_to_method=_EveryWordIsCrud())
+        op = OperationRecord(text, None, None, False, frozenset(), {}, False, ())
+        tokens = rules._action_tokens(tokenize_path("/"), op, lexicon)
+        assert [word for word, _ in tokens] == list(dict.fromkeys(split_words(text)[0]))
+
+
+class _EveryWordIsCrud(dict):
+    def get(self, key, default=None):
+        return "GET"
+
 
 class TestGetRetrieve:
     def test_get_that_deletes_violates(self):
@@ -439,6 +460,17 @@ class TestRunRules:
                       if v.rule is RuleId.NO_CRUD_NAMES]
         # both segments carry the same token; identical tuples collapse
         assert len(violations) == 1
+
+    def test_violations_are_violation_records(self):
+        spec = make_spec({"/createUser": {"post": get_op(operationId="deleteUser")}})
+        violations = run_rules(spec, RuleConfig(), LEX)
+        assert violations and all(type(v) is Violation for v in violations)
+        first = violations[0]
+        assert first == (first.rule, first.path, first.method, first.status_key,
+                         first.fragment, first.message)
+        changed = first._replace(message="m")
+        assert type(changed) is Violation and changed.message == "m"
+        assert changed[:5] == first[:5]
 
     def test_cross_rule_overlap_preserved(self):
         spec = make_spec({"/user_profiles": {"get": get_op()}})

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from rest_lint import (
     Archetype,
+    PathTemplate,
     Segment,
     SegmentKind,
     classify_archetypes,
@@ -156,6 +157,22 @@ class TestTokenizePath:
                        frozenset({"case"}))
         kind, raw, *_ = seg
         assert (kind, raw) == (seg.kind, seg.raw) and isinstance(seg, Segment)
+
+    @given(path_text)
+    def test_templates_and_segments_are_their_records(self, raw):
+        tokenized = tokenize_path(raw)
+        classified = classify_archetypes(tokenized, default_lexicon())
+        for template in (tokenized, classified):
+            assert type(template) is PathTemplate
+            assert template == (template.segments, template.has_trailing_slash,
+                                template.has_empty_segment, template.archetypes)
+            assert type(template._replace(archetypes=())) is PathTemplate
+            assert template._replace(archetypes=()) == tokenized
+            for seg in template.segments:
+                assert type(seg) is Segment
+                assert seg == (seg.kind, seg.raw, seg.name, seg.words, seg.boundary_kinds)
+                assert seg._replace(raw="r")[1:] == ("r", *seg[2:])
+        assert len(classified.archetypes) == len(classified.segments)
 
     def test_parameter_segments_start_as_documents(self):
         template = classify_archetypes(tokenize_path("/users/{id}"), default_lexicon())
