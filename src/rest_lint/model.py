@@ -494,20 +494,21 @@ def _build_operation(
                 + (len(raw_params) if isinstance(raw_params, list) else 0)
                 + (len(raw_responses) if isinstance(raw_responses, dict) else 0))
     where = f"{template} {method}"
-    params = shared_params + _parameter_objects(raw_params, where, build)
-
-    query_names: list[str] = []
-    for p in params:
-        if p.get("in") == "query" and p.get("name") is not None:
-            name = str(p.get("name"))
-            if name not in query_names:
-                query_names.append(name)
+    query_names: dict[str, None] = {}  # in first-seen order
+    has_body = False  # a Swagger 2 body or form parameter
+    for p in shared_params + _parameter_objects(raw_params, where, build):
+        location = p.get("in")
+        if location == "query":
+            name = p.get("name")
+            if name is not None:
+                query_names[str(name)] = None
+        elif location == "body" or location == "formData":
+            has_body = True
 
     produces: frozenset[str] = _NO_MEDIA
     if build.version_kind is VersionKind.SWAGGER2:
         # Operation-level consumes/produces override the root lists;
         # an explicit empty list clears the inherited one.
-        has_body = any(p.get("in") in ("body", "formData") for p in params)
         if op.get("consumes") is None:
             consumes = build.consumes
         else:
@@ -528,19 +529,24 @@ def _build_operation(
         for dup in getattr(raw_responses, "duplicate_keys", ()):
             if (key := build.status_key(dup)) is not None:
                 build.diag(f"{where}: duplicate response status {key!r}; first kept")
+        status_keys = build.status_keys
         for status, value in raw_responses.items():
-            key = build.status_key(status)
+            if type(status) is str and status in status_keys:
+                key = status_keys[status]
+            else:
+                key = build.status_key(status)
             if key is None:
                 build.diag(f"{where}: invalid response status key {status!r}; dropped")
                 continue
             if key in responses:
                 build.diag(f"{where}: duplicate response status {key!r}; first kept")
                 continue
-            resp = build.deref(value, where, key)
+            if isinstance(value, dict) and "$ref" in value:
+                value = build.deref(value, where, key)
             if build.version_kind is VersionKind.SWAGGER2:
                 responses[key] = produces
             else:
-                responses[key] = _content_media(resp, build, where, key)
+                responses[key] = _content_media(value, build, where, key)
     elif raw_responses is not None:
         build.diag(f"{where}: 'responses' is not a mapping; treated as empty")
 
@@ -551,17 +557,17 @@ def _build_operation(
     description = op.get("description")
     operation_id = op.get("operationId")
     security = op.get("security")  # present and not null, it replaces the root's
-    return OperationRecord(
-        operation_id=operation_id if isinstance(operation_id, str) else None,
-        summary=summary if isinstance(summary, str) else None,
-        description=description if isinstance(description, str) else None,
-        has_request_body=has_body,
-        request_media_types=request_media,
-        responses=responses,
-        requires_credentials=(build.requires_credentials if security is None
-                              else _requires_credentials(security)),
-        query_parameter_names=tuple(query_names),
-    )
+    # Built in C, in field order, without the NamedTuple constructor's Python-level call.
+    return tuple.__new__(OperationRecord, (
+        operation_id if isinstance(operation_id, str) else None,
+        summary if isinstance(summary, str) else None,
+        description if isinstance(description, str) else None,
+        has_body,
+        request_media,
+        responses,
+        build.requires_credentials if security is None else _requires_credentials(security),
+        tuple(query_names),
+    ))
 
 
 def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[str, Any]]:

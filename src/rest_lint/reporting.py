@@ -40,12 +40,14 @@ def build_report(spec_id: str, violations: Iterable[Violation]) -> LintReport:
     """Assemble a report from run_rules' violations: keep the first one given
     of each sort_key(), sort by that key, count per rule."""
     unique: dict[tuple, Violation] = {}
-    for violation in violations:
-        unique.setdefault(violation.sort_key(), violation)
-    ordered = tuple(map(unique.__getitem__, sorted(unique)))
     counts = dict.fromkeys(RULE_ORDER, 0)
-    for violation in ordered:
-        counts[violation.rule] += 1
+    for violation in violations:
+        rule, path, method, status_key, fragment, _ = violation
+        key = (path, method or "", RULE_NAMES[rule], fragment, status_key or "")  # sort_key()
+        if key not in unique:
+            unique[key] = violation
+            counts[rule] += 1
+    ordered = tuple(map(unique.__getitem__, sorted(unique)))
     return LintReport(spec_id=spec_id, violations=ordered, counts=counts)
 
 
@@ -112,11 +114,15 @@ _JSON_FINDING_PREFIX = {
 
 def _report_json(report: LintReport) -> bytes:
     """The bytes of json.dumps(doc, separators=(",", ":")) for the report's
-    document, written piece by piece without building the document."""
+    document, written piece by piece without building the document. Findings
+    come sorted by path, so each run of one path's findings quotes it once."""
     quote, prefixes = encode_basestring_ascii, _JSON_FINDING_PREFIX
     pieces = ['{"spec_id":', quote(report.spec_id), ',"violations":[']
+    last_path = quoted_path = None
     for rule, path, method, status_key, fragment, message in report.violations:
-        where = quote(path)
+        if path != last_path:
+            last_path, quoted_path = path, quote(path)
+        where = quoted_path
         if method is not None:
             where += ',"method":' + quote(method)
         if status_key is not None:

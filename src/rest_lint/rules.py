@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import re
 import types
+from functools import partial
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
@@ -28,8 +29,8 @@ from .uri import (
     PathTemplate,
     SegmentKind,
     classify_archetypes,
-    split_words,
     tokenize_path,
+    word_tokens,
 )
 
 
@@ -104,6 +105,11 @@ class Violation(NamedTuple):
                 self.status_key or "")
 
 
+# A Violation of a (rule, *finding) tuple, built in C without the
+# NamedTuple constructor's Python-level call.
+_violation = partial(tuple.__new__, Violation)
+
+
 class RuleConfig(NamedTuple):
     """Which rules run and how URI segments may be reinterpreted.
 
@@ -137,9 +143,8 @@ def run_rules(
     collected: list[Violation] = []
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
-            checker = _RULES[rule][1]
-            collected.extend(Violation(rule, *finding)
-                             for finding in checker(spec, templates, actions, cfg, lexicon))
+            findings = _RULES[rule][1](spec, templates, actions, cfg, lexicon)
+            collected.extend(map(_violation, map((rule,).__add__, findings)))
     return collected
 
 
@@ -159,7 +164,7 @@ def _action_tokens(
     """
     words = [w for seg in template.segments if seg.kind is SegmentKind.LITERAL for w in seg.words]
     if op.operation_id:
-        words.extend(split_words(op.operation_id)[0])
+        words.extend(word_tokens(op.operation_id))
     return [
         (word, implied)
         for word in dict.fromkeys(words)

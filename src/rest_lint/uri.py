@@ -25,9 +25,12 @@ BOUNDARY_DIGIT = "digit"
 
 _SEPARATOR_KINDS = {"-": BOUNDARY_HYPHEN, "_": BOUNDARY_UNDERSCORE}
 
-# An ASCII word with the non-alphanumeric gap before it. Adjacent words meet
-# at a case boundary, or at a digit boundary where one of them is digits.
-_GAP_AND_WORD = re.compile(r"([^0-9A-Za-z]*)([0-9]+|[A-Z]+[a-z]*|[a-z]+)")
+# An ASCII word. Adjacent words meet at a case boundary, or at a digit
+# boundary where one of them is digits.
+_WORD = r"[0-9]+|[A-Z]+[a-z]*|[a-z]+"
+_WORDS = re.compile(_WORD)
+# An ASCII word with the non-alphanumeric gap before it.
+_GAP_AND_WORD = re.compile(rf"([^0-9A-Za-z]*)({_WORD})")
 
 
 class SegmentKind(enum.Enum):
@@ -97,6 +100,13 @@ def split_words(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
     return tuple([word.lower() for _, word in pairs]), frozenset(kinds)
 
 
+def word_tokens(text: str) -> list[str]:
+    """split_words(text)[0] as a list, without finding the boundary kinds."""
+    if not text.isascii():
+        return list(split_words(text)[0])
+    return list(map(str.lower, _WORDS.findall(text)))
+
+
 def _split_words_by_char(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
     """split_words for any text, one character at a time."""
     words: list[str] = []
@@ -144,12 +154,16 @@ def _transition_kind(prev: str, cur: str) -> str | None:
 @functools.lru_cache(maxsize=4096)
 def _segment(part: str) -> Segment:
     """One path part's segment. It depends on the text alone and is
-    immutable, so equal parts share one, in any template or spec."""
+    immutable, so equal parts share one, in any template or spec.
+
+    Here and below, tuple.__new__ builds a record in C from its fields in
+    order, without the NamedTuple constructor's Python-level call.
+    """
     if len(part) >= 2 and part.startswith("{") and part.endswith("}"):
         kind, name = SegmentKind.PARAMETER, part[1:-1]
     else:
         kind, name = SegmentKind.LITERAL, part
-    return Segment(kind, part, name, *split_words(name))
+    return tuple.__new__(Segment, (kind, part, name, *split_words(name)))
 
 
 def tokenize_path(raw: str) -> PathTemplate:
@@ -160,7 +174,8 @@ def tokenize_path(raw: str) -> PathTemplate:
         body = body[:-1]
     parts = body.split("/") if body else []
 
-    return PathTemplate(tuple(map(_segment, parts)), has_trailing, "//" in raw)
+    segments = tuple(map(_segment, parts))
+    return tuple.__new__(PathTemplate, (segments, has_trailing, "//" in raw, ()))
 
 
 def classify_archetypes(
@@ -204,4 +219,4 @@ def classify_archetypes(
         else:
             archetype = Archetype.DOCUMENT
         archetypes.append(archetype)
-    return path._replace(archetypes=tuple(archetypes))
+    return tuple.__new__(PathTemplate, path[:3] + (tuple(archetypes),))

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,22 @@ class TestQueryParameters:
         }
         spec = load_spec(spec_bytes(doc), "qp")
         assert spec.paths["/users"].operations["GET"].query_parameter_names == ("tenant", "page")
+
+    def test_many_distinct_names_load_in_linear_time(self):
+        # Each tenth name is given again nine names later. Looked up in a list,
+        # 40,000 distinct names took 16.7 s to load.
+        names = [f"q{i}" for i in range(40_000)]
+        params = []
+        for i, name in enumerate(names):
+            params.append({"name": name, "in": "query"})
+            if i % 10 == 9:
+                params.append({"name": names[i - 9], "in": "query"})
+        data = spec_bytes({"openapi": "3.0.0", "paths": {"/items": {"get": {
+            "parameters": params, "responses": {"200": {"description": "OK"}}}}}})
+        start = time.perf_counter()
+        spec = load_spec(data, "many")
+        assert time.perf_counter() - start < 5
+        assert spec.paths["/items"].operations["GET"].query_parameter_names == tuple(names)
 
     def test_operations_are_operation_records(self):
         for data in (MINIMAL_V3, (CORPUS / "create_user.json").read_bytes()):

@@ -123,6 +123,11 @@ class TestSplitWords:
     def test_non_ascii_text_gives_the_character_loop_result(self, text):
         assert split_words(text) == uri._split_words_by_char(text)
 
+    @given(st.text(st.sampled_from(string.ascii_letters + string.digits + "-_.~\ud800é²İǅＡ٣")
+                   | st.characters(exclude_categories=()), max_size=24))
+    def test_word_tokens_are_split_words_words(self, text):
+        assert uri.word_tokens(text) == list(split_words(text)[0])
+
 
 class TestTokenizePath:
     def test_literal_and_parameter(self):
