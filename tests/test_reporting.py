@@ -295,6 +295,8 @@ class TestJsonRenderer:
 # case, underscores, CRUD words, parameters, trailing and doubled slashes,
 # unsecured 401-less operations, bodies without media types.
 _JSON_BODY = {"description": "d", "content": {"application/json": {}}}
+# A media type the loader drops, with a diagnostic naming where it stood.
+_BAD_BODY = {"description": "d", "content": {"json": {}}}
 _SEGMENTS = st.sampled_from([
     "users", "user", "Users", "user_profiles", "userProfiles", "create", "createUser",
     "delete-item", "getOrders", "items", "v2", "api", "{id}", "{user_id}", "{Id}",
@@ -305,11 +307,14 @@ _PATHS = st.builds(lambda segments, tail: "/" + "/".join(segments) + tail,
 _OPERATIONS = st.fixed_dictionaries(
     {"responses": st.dictionaries(
         st.sampled_from(["200", "201", "204", "401", "4XX", "default"]),
-        st.sampled_from([{"description": "d"}, _JSON_BODY]), min_size=1, max_size=4)},
+        st.sampled_from([{"description": "d"}, _JSON_BODY, _BAD_BODY]), min_size=1, max_size=4)},
     optional={
         "operationId": st.sampled_from(["listUsers", "createUser", "deleteItem",
                                         "update_order", "getAll"]),
-        "requestBody": st.sampled_from([{}, {"content": {"application/json": {}}}]),
+        "parameters": st.lists(st.sampled_from([
+            {"name": "method", "in": "query"}, {"name": "q", "in": "query"},
+            {"name": "id", "in": "path"}]), max_size=3),
+        "requestBody": st.sampled_from([{}, {"content": {"application/json": {}}}, _BAD_BODY]),
         "security": st.sampled_from([[], [{"key": []}]]),
     },
 )
@@ -334,8 +339,9 @@ def _as_swagger2(doc: dict) -> dict:
         for method, op in item.items():
             own = {"responses": {status: {"description": "d"} for status in op["responses"]}}
             own.update((key, op[key]) for key in ("operationId", "security") if key in op)
-            if "requestBody" in op:
-                own["parameters"] = [{"in": "body", "name": "body", "schema": {}}]
+            if "parameters" in op or "requestBody" in op:
+                body = [{"in": "body", "name": "body", "schema": {}}] if "requestBody" in op else []
+                own["parameters"] = op.get("parameters", []) + body
             paths[path][method] = own
     swagger = {"swagger": "2.0", "paths": paths}
     if "security" in doc:
@@ -345,6 +351,37 @@ def _as_swagger2(doc: dict) -> dict:
 
 def _shuffled(data, mapping: dict) -> dict:
     return dict(data.draw(st.permutations(list(mapping.items()))))
+
+
+def _lint_result(text: bytes) -> tuple[bytes, tuple[str, ...]]:
+    spec = load_spec(text, "generated")
+    return render(build_report(spec.spec_id, run_rules(spec, RuleConfig(), LEX)), "json"), \
+        spec.diagnostics
+
+
+def _moved(data, doc: dict, share) -> dict:
+    """A copy of doc in which a drawn subset of its path items, operations,
+    parameters, responses and request bodies is replaced by share(kind, name,
+    node). The drawn doc itself is left as it was."""
+    def pick(kind: str, name: str, node):
+        return share(kind, name, node) if data.draw(st.booleans()) else node
+
+    paths = {}
+    for template, item in doc["paths"].items():
+        methods = {}
+        for method, op in item.items():
+            where = f"{template}.{method}"
+            op = {**op, "responses": {
+                status: pick("responses", f"{where}.{status}", response)
+                for status, response in op["responses"].items()}}
+            if "parameters" in op:
+                op["parameters"] = [pick("parameters", f"{where}.{i}", parameter)
+                                    for i, parameter in enumerate(op["parameters"])]
+            if "requestBody" in op:
+                op["requestBody"] = pick("requestBodies", where, op["requestBody"])
+            methods[method] = pick("x-operations", where, op)
+        paths[template] = pick("pathItems", template, methods)
+    return {**doc, "paths": paths}
 
 
 class TestGeneratedSpecs:
@@ -378,3 +415,31 @@ class TestGeneratedSpecs:
         # Swagger 2 declares response media types per operation, not per response.
         cfg = RuleConfig(enabled=ALL_RULES - {RuleId.CONTENT_TYPE})
         assert _report_bytes(_as_swagger2(doc), cfg=cfg) == _report_bytes(doc, cfg=cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SPECS, st.sampled_from(["components", "definitions", "anchors"]), st.data())
+    def test_refs_and_yaml_aliases_give_equal_results(self, doc, store, data):
+        """Nodes behind local $refs, chained or not, or behind YAML anchors and
+        aliases lint as when written in place: equal bytes, equal diagnostics."""
+        shared: dict = {}
+
+        def behind_ref(kind: str, name: str, node) -> dict:
+            # A JSON pointer escapes "~" and "/" of a name such as a path template.
+            pointer = f"#/{store}/{kind}/" + name.replace("~", "~0").replace("/", "~1")
+            shared.setdefault(kind, {})[name] = node
+            if data.draw(st.booleans()):  # through a second $ref
+                shared[kind][name + ".via"] = node
+                shared[kind][name] = {"$ref": pointer + ".via"}
+            return {"$ref": pointer}
+
+        def behind_alias(kind: str, name: str, node):
+            shared[name] = node  # the same object twice: dumped as an anchor and an alias
+            return node
+
+        if store == "anchors":
+            moved = _moved(data, doc, behind_alias)
+            text = yaml.safe_dump({"x-shared": shared, **moved}, sort_keys=False)
+        else:
+            moved = _moved(data, doc, behind_ref)
+            text = json.dumps({**moved, store: shared})
+        assert _lint_result(text.encode("utf-8")) == _lint_result(json.dumps(doc).encode())
