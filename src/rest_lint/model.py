@@ -346,13 +346,15 @@ def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
 # only where a key repeats), so the builder tests for dict, not the Mapping ABC.
 # ---------------------------------------------------------------------------
 
+_SWAGGER2, _OPENAPI3 = VersionKind.SWAGGER2, VersionKind.OPENAPI3  # bound once: see uri.py
+
 
 class _Build:
     """The document, what its root declares for every operation, and the diagnostics."""
 
     def __init__(self, root: Mapping[str, Any], diagnostics: list[str]) -> None:
         self.root = root
-        self.version_kind = VersionKind.OPENAPI3
+        self.version_kind = _OPENAPI3
         self.consumes: frozenset[str] = _NO_MEDIA  # root media lists, inherited in Swagger 2
         self.produces: frozenset[str] = _NO_MEDIA
         self.requires_credentials = False  # the root's security, where an operation has none
@@ -413,7 +415,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) ->
 
     swagger = doc.get("swagger")
     if swagger is not None and str(swagger).startswith("2"):
-        build.version_kind = VersionKind.SWAGGER2
+        build.version_kind = _SWAGGER2
     elif "openapi" in doc or "swagger" in doc:
         if "openapi" not in doc:
             build.diag(f"unrecognized swagger version {swagger!r}; treating as OpenAPI 3")
@@ -456,12 +458,12 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) ->
 
 
 def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
-    item = build.deref(item, template)
+    if isinstance(item, dict) and "$ref" in item:
+        item = build.deref(item, template)
     if not isinstance(item, dict):
         build.diag(f"{template}: path item is not a mapping; treated as empty")
         item = {}
-    method_keys = (_SWAGGER2_METHOD_KEYS if build.version_kind is VersionKind.SWAGGER2
-                   else _METHOD_KEYS)
+    method_keys = _SWAGGER2_METHOD_KEYS if build.version_kind is _SWAGGER2 else _METHOD_KEYS
     for dup in getattr(item, "duplicate_keys", []):
         if str(dup).lower() in method_keys:
             build.diag(f"{template}: duplicate method {dup!r}; first occurrence kept")
@@ -469,11 +471,12 @@ def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
     shared_params = _parameter_objects(item.get("parameters"), template, build)
 
     operations: dict[str, OperationRecord] = {}
-    for key, value in item.items():
+    for key, op in item.items():
         method = method_keys.get(key) if isinstance(key, str) else None
         if method is None:
             continue
-        op = build.deref(value, template, key, ".")
+        if isinstance(op, dict) and "$ref" in op:
+            op = build.deref(op, template, key, ".")
         if not isinstance(op, dict):
             build.diag(f"{template}: operation {method} is not a mapping; skipped")
             continue
@@ -506,7 +509,8 @@ def _build_operation(
             has_body = True
 
     produces: frozenset[str] = _NO_MEDIA
-    if build.version_kind is VersionKind.SWAGGER2:
+    swagger2 = build.version_kind is _SWAGGER2
+    if swagger2:
         # Operation-level consumes/produces override the root lists;
         # an explicit empty list clears the inherited one.
         if op.get("consumes") is None:
@@ -519,9 +523,10 @@ def _build_operation(
             produces = _media_list(op.get("produces"), build, where, "produces")
         request_media = consumes if has_body else _NO_MEDIA
     else:
-        raw_body = op.get("requestBody")
-        body = build.deref(raw_body, where, "requestBody")
-        has_body = raw_body is not None
+        body = op.get("requestBody")
+        has_body = body is not None
+        if isinstance(body, dict) and "$ref" in body:
+            body = build.deref(body, where, "requestBody")
         request_media = _content_media(body, build, where, "requestBody")
 
     responses: dict[str, frozenset[str]] = {}
@@ -543,10 +548,7 @@ def _build_operation(
                 continue
             if isinstance(value, dict) and "$ref" in value:
                 value = build.deref(value, where, key)
-            if build.version_kind is VersionKind.SWAGGER2:
-                responses[key] = produces
-            else:
-                responses[key] = _content_media(value, build, where, key)
+            responses[key] = produces if swagger2 else _content_media(value, build, where, key)
     elif raw_responses is not None:
         build.diag(f"{where}: 'responses' is not a mapping; treated as empty")
 
@@ -575,9 +577,10 @@ def _parameter_objects(value: Any, context: str, build: _Build) -> list[Mapping[
         return []
     out = []
     for entry in value:
-        resolved = build.deref(entry, context, "parameter")
-        if isinstance(resolved, dict):
-            out.append(resolved)
+        if isinstance(entry, dict) and "$ref" in entry:
+            entry = build.deref(entry, context, "parameter")
+        if isinstance(entry, dict):
+            out.append(entry)
     return out
 
 

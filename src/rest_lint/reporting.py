@@ -149,7 +149,7 @@ def _report_text(report: LintReport) -> bytes:
             location += f" {v.method}"
         if v.status_key is not None:
             location += f" [{v.status_key}]"
-        lines.append(f"  {location} {v.rule.value} '{v.fragment}': {v.message}")
+        lines.append(f"  {location} {RULE_NAMES[v.rule]} '{v.fragment}': {v.message}")
     # A lone surrogate, from an escape in the document or an undecodable file
     # name, prints as the \udXXX escape that the json format also shows.
     return ("\n".join(lines) + "\n").encode("utf-8", "backslashreplace")

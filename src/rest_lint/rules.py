@@ -79,6 +79,9 @@ _TUNNEL_QUERY_PARAMS = ("method", "_method", "action")
 _HIERARCHY_SEPARATOR = re.compile(r"\w[.:;]\w")
 _MULTIWORD = frozenset({BOUNDARY_CASE, BOUNDARY_UNDERSCORE})  # boundaries Hyphens flags
 _LEADING_WORD = re.compile(r"[A-Za-z]+")
+# Members the checkers compare against, bound once (see the note in uri.py).
+_LITERAL, _PARAMETER = SegmentKind.LITERAL, SegmentKind.PARAMETER
+_COLLECTION, _DOCUMENT, _CONTROLLER = Archetype.COLLECTION, Archetype.DOCUMENT, Archetype.CONTROLLER
 
 # Response statuses that never carry a body.
 _BODYLESS_STATUSES = {"204", "304"}
@@ -162,7 +165,7 @@ def _action_tokens(
     Each distinct token appears once, in order of first occurrence,
     paired with the HTTP method it implies.
     """
-    words = [w for seg in template.segments if seg.kind is SegmentKind.LITERAL for w in seg.words]
+    words = [w for seg in template.segments if seg.kind is _LITERAL for w in seg.words]
     if op.operation_id:
         words.extend(word_tokens(op.operation_id))
     return [
@@ -199,7 +202,7 @@ def check_plural_noun(spec: ApiSpecification, templates: Templates, actions: Act
     """Collection segments must have a plural head word."""
     for path, template in templates.items():
         for seg, archetype in zip(template.segments, template.archetypes):
-            if archetype is Archetype.COLLECTION and seg.words:
+            if archetype is _COLLECTION and seg.words:
                 if not is_plural(seg.words[-1], lexicon):
                     yield (path, None, None, seg.raw,
                            f"collection segment '{seg.raw}' should use a plural noun")
@@ -214,8 +217,8 @@ def check_singular_noun(spec: ApiSpecification, templates: Templates, actions: A
     for path, template in templates.items():
         for seg, archetype in zip(template.segments, template.archetypes):
             if (
-                seg.kind is SegmentKind.LITERAL
-                and archetype is Archetype.DOCUMENT
+                seg.kind is _LITERAL
+                and archetype is _DOCUMENT
                 and seg.words
                 and is_plural(seg.words[-1], lexicon)
             ):
@@ -241,7 +244,7 @@ def check_verb_controller(spec: ApiSpecification, templates: Templates, actions:
     """
     for path, template in templates.items():
         for seg, archetype in zip(template.segments, template.archetypes):
-            if archetype is Archetype.CONTROLLER and seg.words:
+            if archetype is _CONTROLLER and seg.words:
                 if not is_verb(seg.words[0], lexicon):
                     yield (path, None, None, seg.raw,
                            f"controller segment '{seg.raw}' should start with a verb")
@@ -252,7 +255,7 @@ def check_no_crud_names(spec: ApiSpecification, templates: Templates, actions: A
     """CRUD function names do not belong in URIs."""
     for path, template in templates.items():
         for seg in template.segments:
-            if seg.kind is not SegmentKind.LITERAL:
+            if seg.kind is not _LITERAL:
                 continue
             for token in seg.words:
                 if crud_method_of(token, lexicon) is not None:
@@ -269,7 +272,7 @@ def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: A
             yield path, None, None, "//", "empty path segment (consecutive slashes)"
         for seg in template.segments:
             raw = seg.raw  # the substring tests spare most segments the regex
-            if (seg.kind is SegmentKind.LITERAL and ("." in raw or ":" in raw or ";" in raw)
+            if (seg.kind is _LITERAL and ("." in raw or ":" in raw or ";" in raw)
                     and _HIERARCHY_SEPARATOR.search(raw)):
                 yield (path, None, None, raw,
                        f"segment '{raw}' uses a non-slash hierarchy separator")
@@ -285,7 +288,7 @@ def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions
     for path, template in templates.items():
         for seg in template.segments:
             if (
-                seg.kind is SegmentKind.LITERAL
+                seg.kind is _LITERAL
                 and len(seg.words) >= 2
                 and not seg.boundary_kinds.isdisjoint(_MULTIWORD)
             ):
@@ -298,7 +301,7 @@ def check_lowercase(spec: ApiSpecification, templates: Templates, actions: Actio
     """URI paths should be lowercase; parameter names are placeholders."""
     for path, template in templates.items():
         for seg in template.segments:
-            if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
+            if seg.kind is _PARAMETER and cfg.exempt_parameter_names:
                 continue
             name = seg.name
             # lower() changes titlecase letters such as "ǅ", which are not upper-case.
@@ -312,7 +315,7 @@ def check_no_underscores(spec: ApiSpecification, templates: Templates, actions: 
     """Underscores do not belong in URI paths; parameter names are placeholders."""
     for path, template in templates.items():
         for seg in template.segments:
-            if seg.kind is SegmentKind.PARAMETER and cfg.exempt_parameter_names:
+            if seg.kind is _PARAMETER and cfg.exempt_parameter_names:
                 continue
             if "_" in seg.name:
                 yield path, None, None, seg.raw, f"segment '{seg.raw}' contains underscores"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import string
+from pathlib import Path
 
 import pytest
 from conftest import CORPUS, lint_fixture, rule_config_for
@@ -20,10 +22,13 @@ from rest_lint import (
     default_lexicon,
     load_spec,
     load_spec_file,
+    model,
+    reporting,
     rules,
     run_rules,
     split_words,
     tokenize_path,
+    uri,
 )
 
 LEX = default_lexicon()
@@ -476,3 +481,52 @@ class TestRunRules:
         spec = make_spec({"/user_profiles": {"get": get_op()}})
         rules = {v.rule for v in run_rules(spec, RuleConfig(), LEX)}
         assert {RuleId.HYPHENS, RuleId.NO_UNDERSCORES} <= rules
+
+
+_ENUMS = {"SegmentKind", "Archetype", "VersionKind", "RuleId", "Category"}
+
+
+def _enum_read(node: ast.AST) -> tuple[str, str] | None:
+    """(enum class, attribute) of a read such as SegmentKind.LITERAL."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in _ENUMS):
+        return node.value.id, node.attr
+    return None
+
+
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+
+
+class TestEnumReads:
+    """On Python 3.10 and 3.11 a read through an Enum class takes
+    EnumType.__getattr__'s slow path, ~10 times a module constant's cost, so
+    function bodies in the hot modules read members through constants bound at
+    import. Module-level tables may read through the class."""
+
+    @pytest.mark.parametrize("module", [uri, rules, model, reporting],
+                             ids=lambda module: module.__name__)
+    def test_no_function_reads_a_member_through_its_class(self, module):
+        reads = sorted({
+            f"line {node.lineno}: {'.'.join(read)}"
+            for function in ast.walk(_tree(module))
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for node in ast.walk(function) if (read := _enum_read(node))
+        })
+        assert reads == []
+
+    @pytest.mark.parametrize("module", [uri, rules, model], ids=lambda module: module.__name__)
+    def test_each_constant_is_its_member(self, module):
+        bound = {}
+        for statement in _tree(module).body:
+            if not isinstance(statement, ast.Assign):
+                continue
+            target, value = statement.targets[0], statement.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(value, ast.Tuple) else [(target, value)])
+            bound.update((name.id, read) for name, value in pairs
+                         if isinstance(name, ast.Name) and (read := _enum_read(value)))
+        assert bound
+        for name, (enum_name, member) in bound.items():
+            assert name == f"_{member}"
+            assert getattr(module, name) is getattr(module, enum_name)[member]
