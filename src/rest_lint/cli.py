@@ -2,7 +2,8 @@
 
 Exit codes: 0 = no violations, 1 = violations found, 2 = parse or
 configuration error (errors go to stderr; a bad file never stops the
-remaining files from being processed).
+remaining files from being processed), 141 = stdout was closed before the
+output was written, as by `| head` (no traceback, no stderr line).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ _SPEC_SUFFIXES = (".json", ".yaml", ".yml")
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe
 
 _T = TypeVar("_T")
 
@@ -159,10 +161,12 @@ def _collecting_after_each(items: Iterable[_T]) -> Iterator[_T]:
 
 
 def _write(rendered: bytes) -> None:
-    """Write rendered UTF-8 bytes as they are, whatever stdout's text encoding."""
+    """Write all the rendered UTF-8 bytes as they are, whatever stdout's text encoding."""
     sys.stdout.flush()
-    sys.stdout.buffer.write(rendered)
-    sys.stdout.buffer.flush()
+    out, unwritten = sys.stdout.buffer, memoryview(rendered)
+    while unwritten:  # a write may take fewer bytes than it is given
+        unwritten = unwritten[out.write(unwritten):]
+    out.flush()
 
 
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
@@ -270,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:  # stdout closed: the flush at exit goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     finally:
         if was_enabled:
             gc.enable()

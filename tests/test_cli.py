@@ -22,6 +22,7 @@ from rest_lint import Archetype, ConfigError, RuleId, model
 from rest_lint.cli import (
     EXIT_CLEAN,
     EXIT_ERROR,
+    EXIT_STDOUT_CLOSED,
     EXIT_VIOLATIONS,
     LintConfig,
     load_config,
@@ -379,6 +380,34 @@ class TestLintCommand:
         assert proc.stderr == b""
         assert main(["lint", "--format", "text", str(target)]) == EXIT_VIOLATIONS
         assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+    def test_closed_stdout_ends_quietly(self):
+        # 600 reports, ~370 KB of json: more than a pipe holds, so writes are
+        # still to come when the reader closes its end after the first read.
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        specs = [str(CREATE_USER), str(CORPUS / "content_type.yaml")] * 300
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rest_lint.cli", "lint", "--format", "json", *specs],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path})
+        first = os.read(proc.stdout.fileno(), 100)
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert first.startswith(b'{"spec_id":')
+        assert (proc.returncode, stderr) == (EXIT_STDOUT_CLOSED, b"")
+
+    def test_short_writes_still_write_every_byte(self):
+        class ShortWrites(io.BytesIO):
+            def write(self, data) -> int:  # takes at most 7 bytes, as write(2) may take fewer
+                return super().write(bytes(data[:7]))
+
+        argv = ["lint", "--format", "json", str(CREATE_USER), str(CLEAN)]
+        status, expected, _ = _run_main(argv)
+        out = io.TextIOWrapper(ShortWrites(), "utf-8")
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == status == EXIT_VIOLATIONS
+        out.flush()
+        assert out.buffer.getvalue() == expected and len(expected) > 7
 
     @pytest.mark.parametrize("name, path, shown", [
         ("api.json", "/Users\\ud800", "  /Users\\ud800 Lowercase 'Users\\ud800'"),
