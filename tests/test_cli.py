@@ -390,9 +390,12 @@ class TestLintCommand:
             [sys.executable, "-m", "rest_lint.cli", "lint", "--format", "json", *specs],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": path})
-        first = os.read(proc.stdout.fileno(), 100)
-        proc.stdout.close()
-        _, stderr = proc.communicate(timeout=120)
+        try:
+            first = os.read(proc.stdout.fileno(), 100)
+            proc.stdout.close()
+            _, stderr = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
         assert first.startswith(b'{"spec_id":')
         assert (proc.returncode, stderr) == (EXIT_STDOUT_CLOSED, b"")
 

@@ -354,9 +354,10 @@ def _shuffled(data, mapping: dict) -> dict:
 
 
 def _lint_result(text: bytes) -> tuple[bytes, tuple[str, ...]]:
+    """The json report's bytes and the loader's diagnostics."""
     spec = load_spec(text, "generated")
-    return render(build_report(spec.spec_id, run_rules(spec, RuleConfig(), LEX)), "json"), \
-        spec.diagnostics
+    report = build_report(spec.spec_id, run_rules(spec, RuleConfig(), LEX))
+    return render(report, "json"), spec.diagnostics
 
 
 def _moved(data, doc: dict, share) -> dict:

@@ -524,8 +524,8 @@ class TestEnumReads:
             target, value = statement.targets[0], statement.value
             pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
                      and isinstance(value, ast.Tuple) else [(target, value)])
-            bound.update((name.id, read) for name, value in pairs
-                         if isinstance(name, ast.Name) and (read := _enum_read(value)))
+            bound.update((name.id, read) for name, node in pairs
+                         if isinstance(name, ast.Name) and (read := _enum_read(node)))
         assert bound
         for name, (enum_name, member) in bound.items():
             assert name == f"_{member}"
