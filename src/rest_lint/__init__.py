@@ -29,7 +29,6 @@ from .model import (
     ApiSpecification,
     OperationRecord,
     PathEntry,
-    VersionKind,
     load_spec,
     load_spec_file,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SegmentKind",
     "SummaryRow",
     "UnsupportedFormat",
-    "VersionKind",
     "Violation",
     "WordLexicon",
     "aggregate",

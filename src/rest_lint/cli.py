@@ -2,8 +2,9 @@
 
 Exit codes: 0 = no violations, 1 = violations found, 2 = parse or
 configuration error (errors go to stderr; a bad file never stops the
-remaining files from being processed), 141 = stdout was closed before the
-output was written, as by `| head` (no traceback, no stderr line).
+remaining files from being processed), or a write to stdout that failed
+(one stderr line; the run stops), 141 = stdout was closed before the output
+was written, as by `| head` or `>&-` (no traceback, no stderr line).
 """
 
 from __future__ import annotations
@@ -160,13 +161,36 @@ def _collecting_after_each(items: Iterable[_T]) -> Iterator[_T]:
         gc.collect(0)
 
 
+class _WriteFailed(Exception):
+    """Stdout failed a write, other than by being closed, or took no bytes."""
+
+
 def _write(rendered: bytes) -> None:
     """Write all the rendered UTF-8 bytes as they are, whatever stdout's text encoding."""
-    sys.stdout.flush()
-    out, unwritten = sys.stdout.buffer, memoryview(rendered)
-    while unwritten:  # a write may take fewer bytes than it is given
-        unwritten = unwritten[out.write(unwritten):]
-    out.flush()
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise BrokenPipeError
+    try:
+        sys.stdout.flush()
+        out, unwritten = sys.stdout.buffer, memoryview(rendered)
+        while unwritten:  # a write may take fewer bytes than it is given
+            written = out.write(unwritten)
+            if not written:  # 0, or None from a stream that would block
+                raise _WriteFailed("no bytes taken")
+            unwritten = unwritten[written:]
+        out.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:  # a full disk, say
+        raise _WriteFailed(exc.strerror or str(exc)) from exc
+
+
+def _discard_stdout() -> None:
+    """Point fd 1 at devnull, so that the flush at exit drops what is left, quietly."""
+    if sys.stdout is not None:
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # a stdout without a file descriptor holds what is left itself
+            pass
 
 
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
@@ -274,9 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except BrokenPipeError:  # stdout closed: the flush at exit goes to devnull, quietly
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # stdout closed
+        _discard_stdout()
         return EXIT_STDOUT_CLOSED
+    except _WriteFailed as exc:
+        _discard_stdout()
+        print(f"cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     finally:
         if was_enabled:
             gc.enable()

@@ -2,7 +2,7 @@
 
 Both Swagger 2.0 and OpenAPI 3.x inputs (JSON or YAML) are loaded into
 one internal shape so rule checkers are written once. Besides the spec
-id, the input's version and the loader's diagnostics, the model holds
+id and the loader's diagnostics, the model holds
 only the facts the checkers read: path templates, each operation's
 method, operationId, summary and description, request media types,
 response status keys with their media types, query parameter names and
@@ -14,7 +14,6 @@ immutable after load and safe to share across checkers.
 
 from __future__ import annotations
 
-import enum
 import json
 import re
 import types
@@ -46,11 +45,6 @@ _MAX_REF_DEPTH = 32
 _MAX_MODEL_NODES = 420_000
 
 
-class VersionKind(enum.Enum):
-    SWAGGER2 = "swagger2"
-    OPENAPI3 = "openapi3"
-
-
 class OperationRecord(NamedTuple):
     operation_id: str | None
     summary: str | None
@@ -68,7 +62,6 @@ class PathEntry(NamedTuple):
 
 class ApiSpecification(NamedTuple):
     spec_id: str
-    version_kind: VersionKind
     paths: dict[str, PathEntry]
     diagnostics: tuple[str, ...] = ()
 
@@ -161,6 +154,15 @@ def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
     return mapping
 
 
+def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
+    """_keyed_mapping of keys alternating with their values."""
+    pairs = iter(items)
+    mapping = dict(zip(pairs, pairs))
+    if 2 * len(mapping) != len(items) or _MERGE in mapping:
+        return _keyed_mapping(list(zip(*[iter(items)] * 2)))
+    return mapping
+
+
 def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> dict[Any, Any]:
     pairs = []
     for key_node, value_node in node.value:
@@ -201,16 +203,15 @@ def _scalar(loader: yaml.CSafeLoader, tag: str, text: str) -> Any:
     return value
 
 
-def _yaml_from_events(text: str) -> Any:
+def _yaml_from_events(text: str, plain: dict[str, Any]) -> Any:
     """Build the document in one loop over LibYAML's events, with no recursion.
 
     A plain scalar resolves as SafeLoader resolves it, by its text alone, so
-    once per distinct text. Raises where the pure-Python loader might read
-    the text otherwise, or fail on it; README lists the cases.
+    once per distinct text, cached in plain. Raises where the pure-Python
+    loader might read the text otherwise, or fail on it; README lists the cases.
     """
     loader = yaml.CSafeLoader(text)
     get_event, resolve = loader.get_event, loader.resolve
-    plain: dict[str, Any] = {}  # plain scalar text -> value
     anchors: dict[str, Any] = {}
     stack: list[tuple[list[Any], bool, bool, str | None]] = []
     items: list[Any] = []  # the open container's values, for a mapping alternating with keys
@@ -262,7 +263,7 @@ def _yaml_from_events(text: str) -> Any:
             elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
                 # An unhashable (complex) key raises TypeError: PyYAML keys it by its
                 # str() before an aliased sequence in it may be filled.
-                value = _keyed_mapping(list(zip(*[iter(items)] * 2))) if is_map else items
+                value = _keyed_flat(items) if is_map else items
                 items, is_map, flow, anchor = stack.pop()
                 if anchor is not None:
                     anchors[anchor] = value
@@ -280,16 +281,165 @@ def _yaml_from_events(text: str) -> Any:
         loader.dispose()
 
 
-# The fast path where PyYAML has LibYAML; None leaves all text to _DupSafeLoader.
-_FAST_YAML = _yaml_from_events if yaml.__with_libyaml__ else None
+# Block-style YAML, one line a match: indentation, "- " entries, a "key:" and a
+# one-line plain or quoted scalar, {} or [], then a comment. The last group
+# takes any other line, such as "---", a multi-line scalar or a character the
+# pure-Python reader rejects, and hands the text over. Its classes exclude
+# only Latin-1 characters: one with a wider character costs ~0.5 ms to
+# compile, so the wider ones are looked for in the whole text instead.
+_NOT_TEXT = "\\x00-\\x1f\\x7f-\\x9f"
+_WIDE_NOT_TEXT = "\u2028\u2029\ufeff\ufffe\uffff"  # line breaks, or rejected
+_PLAIN_REST = f"[^ :{_NOT_TEXT}]*(?::(?=[^ {_NOT_TEXT}])[^ :{_NOT_TEXT}]*)*"  # ": " ends it
+_PLAIN = (f"(?:[^ \\-?:,\\[\\]{{}}#&*!|>'\"%@`{_NOT_TEXT}]|[-?:](?=[^ {_NOT_TEXT}])){_PLAIN_REST}"
+          f"(?: +(?:[^ :#{_NOT_TEXT}]|:(?=[^ {_NOT_TEXT}])){_PLAIN_REST})*")  # and so does " #"
+_QUOTED = (f"'[^'{_NOT_TEXT}]*(?:''[^'{_NOT_TEXT}]*)*'"
+           f"|\"[^\"\\\\{_NOT_TEXT}]*(?:\\\\[^{_NOT_TEXT}][^\"\\\\{_NOT_TEXT}]*)*\"")
+_COMMENT = f"(?<![^ \\n])#[^{_NOT_TEXT}]*"  # after a space: "a#b" is one scalar
+# Compiled where first used, so that a run on JSON alone never compiles it.
+_BLOCK_LINE = (
+    "(?!(?:---|\\.\\.\\.)(?:[ \\r\\n]|\\Z))( *)((?:-(?: +|(?=\\r?\\n|\\Z)))*)"
+    f"(?:((?:{_PLAIN}|{_QUOTED}) *):(?: +|(?=\\r?\\n|\\Z)))?({_PLAIN}|{_QUOTED}|\\{{}}|\\[])?"
+    f" *(?:{_COMMENT})?\\r?(?:\\n|\\Z)|([^\\n]*\\n?)"
+)
+# Blank and comment lines, then "---" alone on its line, at the start of the text.
+_DOCUMENT_START = re.compile(
+    f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?:\\n|\\Z)")
+# A block scalar, anchor, alias, tag, complex key or flow collection starts
+# with one of these after a space or a line break. Found anywhere, it hands
+# the text over before a line is read, so that none is read twice; each a
+# substring test, then a literal-prefix search, both far cheaper than one
+# search for a character class.
+_NODE_STARTS = tuple((char, re.compile(re.escape(char) + "(?<![^ \\n].)(?![\\]}])"))
+                     for char in "|>&*!?[{")
+_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+
+
+def _unescape(match: re.Match[str]) -> str:
+    """A double-quoted escape, from the pure-Python scanner's own tables."""
+    code = match.group(1) or match.group(2) or match.group(3)
+    return chr(int(code, 16)) if code else yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
+
+
+def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
+    """Build a block-style document in one regex match a line, with no recursion.
+
+    Takes block mappings and sequences of one-line plain and quoted scalars,
+    {} and [], and comments, and raises _HandOver at anything else. Scalars
+    resolve as in _yaml_from_events, through the same cache, which also keeps
+    quoted scalars under their quoted text. Nesting stops at _MAX_EVENT_DEPTH
+    as there, and an implicit key past 1,024 characters, which the
+    pure-Python scanner rejects, is handed over. The text is decoded UTF-8,
+    so it holds no lone surrogate, which that scanner rejects too.
+    """
+    if any(char in text and start.search(text) for char, start in _NODE_STARTS):
+        raise _HandOver
+    if not text.isascii() and any(char in text for char in _WIDE_NOT_TEXT):
+        raise _HandOver
+    loader = yaml.CSafeLoader("")
+    resolve = loader.resolve
+
+    def scalar(token: str) -> Any:
+        first = token[0]
+        if first == "'":
+            value = token[1:-1].replace("''", "'")
+        elif first == '"':
+            value = _ESCAPE.sub(_unescape, token[1:-1]) if "\\" in token else token[1:-1]
+        else:
+            value = _scalar(loader, resolve(yaml.ScalarNode, token, (True, False)), token)
+        return plain.setdefault(token, value)
+
+    stack: list[tuple[int, list[Any], bool, bool]] = []
+    # The open node: its column, its values (keys alternating with values in a
+    # mapping), whether it is a mapping, and whether it is a sequence at its
+    # key's column. The root is a column -1 node that holds the document.
+    col, items, is_map, indentless = -1, [], False, False
+    slot = True  # the open node awaits a value: the document, a key's or an entry's
+    start = _DOCUMENT_START.match(text)
+    for line in re.compile(_BLOCK_LINE).finditer(text, start.end() if start else 0):
+        indent, dashes, key, value, other = line.groups()
+        if other is not None:
+            raise _HandOver
+        if key is None and value is None and not dashes:
+            continue  # blank or comment
+        at = len(indent)
+        # The line's first node is the open node's value, or else its next key or entry.
+        opens = slot and (at > col or at == col and is_map and dashes)
+        if not opens:
+            if slot:  # an empty value
+                items.append(None)
+            while at < col or indentless and at == col and not dashes:
+                node = _keyed_flat(items) if is_map else items
+                col, items, is_map, indentless = stack.pop()
+                items.append(node)
+            if at != col or (is_map if dashes else not is_map or key is None):
+                raise _HandOver  # misaligned, a continued scalar, or the wrong node
+            slot = True
+        if dashes:
+            for i, char in enumerate(dashes):
+                if char == "-" and (i or opens):  # each "- " opens a sequence
+                    if len(stack) == _MAX_EVENT_DEPTH:
+                        raise _HandOver
+                    stack.append((col, items, is_map, indentless))
+                    col, items, is_map, indentless = at + i, [], False, at + i == col
+        if key is not None:
+            if len(key) > 1024:
+                raise _HandOver
+            if key[-1] == " ":
+                key = key.rstrip(" ")
+            try:
+                key = plain[key]
+            except KeyError:
+                key = scalar(key)
+            if opens or dashes:  # the first key of a mapping
+                if len(stack) == _MAX_EVENT_DEPTH:
+                    raise _HandOver
+                stack.append((col, items, is_map, indentless))
+                col, items, is_map, indentless = at + len(dashes), [], True, False
+            items.append(key)
+            slot = True
+        if value is not None:
+            try:
+                value = plain[value]
+            except KeyError:
+                if value in ("{}", "[]"):
+                    if len(stack) == _MAX_EVENT_DEPTH:
+                        raise _HandOver from None
+                    value = {} if value == "{}" else []
+                else:
+                    value = scalar(value)
+            if value is _MERGE:
+                raise _HandOver  # "<<" other than as a key
+            items.append(value)
+            slot = False
+    if slot:
+        items.append(None)
+    while stack:
+        node = _keyed_flat(items) if is_map else items
+        col, items, is_map, indentless = stack.pop()
+        items.append(node)
+    return items[0]
+
+
+def _read_yaml(text: str) -> Any:
+    """The document as the line reader builds it, else as the event loop does."""
+    plain: dict[str, Any] = {}  # scalar text -> value, for the document
+    try:
+        return _yaml_from_lines(text, plain)
+    except _HandOver:
+        return _yaml_from_events(text, plain)
+
+
+# The fast paths where PyYAML has LibYAML; None leaves all text to _DupSafeLoader.
+_FAST_YAML = _read_yaml if yaml.__with_libyaml__ else None
 
 
 def _load_yaml(text: str) -> Any:
-    """Build the document from LibYAML's events, else parse it in pure Python.
+    """Build the document line by line, else from LibYAML's events, else parse
+    it in pure Python.
 
-    Whatever the event loop leaves, or fails on, is parsed again by
-    _DupSafeLoader, whose result or error stands, so every diagnostic is the
-    pure-Python parser's.
+    Whatever the line reader leaves goes to the event loop, and whatever the
+    event loop leaves, or either fails on, is parsed again by _DupSafeLoader,
+    whose result or error stands, so every diagnostic is the pure-Python parser's.
     """
     if _FAST_YAML is not None and not any(char in text for char in _PURE_PYTHON_CHARS):
         try:
@@ -346,15 +496,12 @@ def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
 # only where a key repeats), so the builder tests for dict, not the Mapping ABC.
 # ---------------------------------------------------------------------------
 
-_SWAGGER2, _OPENAPI3 = VersionKind.SWAGGER2, VersionKind.OPENAPI3  # bound once: see uri.py
-
-
 class _Build:
     """The document, what its root declares for every operation, and the diagnostics."""
 
     def __init__(self, root: Mapping[str, Any], diagnostics: list[str]) -> None:
         self.root = root
-        self.version_kind = _OPENAPI3
+        self.swagger2 = False  # else OpenAPI 3
         self.consumes: frozenset[str] = _NO_MEDIA  # root media lists, inherited in Swagger 2
         self.produces: frozenset[str] = _NO_MEDIA
         self.requires_credentials = False  # the root's security, where an operation has none
@@ -415,7 +562,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) ->
 
     swagger = doc.get("swagger")
     if swagger is not None and str(swagger).startswith("2"):
-        build.version_kind = _SWAGGER2
+        build.swagger2 = True
     elif "openapi" in doc or "swagger" in doc:
         if "openapi" not in doc:
             build.diag(f"unrecognized swagger version {swagger!r}; treating as OpenAPI 3")
@@ -451,7 +598,6 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) ->
 
     return ApiSpecification(
         spec_id=spec_id,
-        version_kind=build.version_kind,
         paths=paths,
         diagnostics=tuple(build.diagnostics),
     )
@@ -463,7 +609,7 @@ def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
     if not isinstance(item, dict):
         build.diag(f"{template}: path item is not a mapping; treated as empty")
         item = {}
-    method_keys = _SWAGGER2_METHOD_KEYS if build.version_kind is _SWAGGER2 else _METHOD_KEYS
+    method_keys = _SWAGGER2_METHOD_KEYS if build.swagger2 else _METHOD_KEYS
     for dup in getattr(item, "duplicate_keys", []):
         if str(dup).lower() in method_keys:
             build.diag(f"{template}: duplicate method {dup!r}; first occurrence kept")
@@ -509,7 +655,7 @@ def _build_operation(
             has_body = True
 
     produces: frozenset[str] = _NO_MEDIA
-    swagger2 = build.version_kind is _SWAGGER2
+    swagger2 = build.swagger2
     if swagger2:
         # Operation-level consumes/produces override the root lists;
         # an explicit empty list clears the inherited one.

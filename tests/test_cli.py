@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -61,13 +62,22 @@ def write_config(tmp_path: Path, doc: object) -> str:
     return str(path)
 
 
+def cli_env(**env: str) -> dict[str, str]:
+    """The environment of a CLI subprocess, which imports rest_lint from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
 def run_cli(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
     """Run the CLI in a subprocess, so that a crash fails the test, not the suite."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "rest_lint.cli", *args], capture_output=True, text=text,
-        timeout=120, env={**os.environ, **env, "PYTHONPATH": path},
+        timeout=120, env=cli_env(**env),
     )
+
+
+def no_space(data: bytes) -> int:
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestLoadConfig:
@@ -384,12 +394,10 @@ class TestLintCommand:
     def test_closed_stdout_ends_quietly(self):
         # 600 reports, ~370 KB of json: more than a pipe holds, so writes are
         # still to come when the reader closes its end after the first read.
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         specs = [str(CREATE_USER), str(CORPUS / "content_type.yaml")] * 300
         proc = subprocess.Popen(
             [sys.executable, "-m", "rest_lint.cli", "lint", "--format", "json", *specs],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": path})
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         try:
             first = os.read(proc.stdout.fileno(), 100)
             proc.stdout.close()
@@ -411,6 +419,41 @@ class TestLintCommand:
             assert main(argv) == status == EXIT_VIOLATIONS
         out.flush()
         assert out.buffer.getvalue() == expected and len(expected) > 7
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda data: 0, "cannot write to stdout: no bytes taken\n"),
+        (lambda data: None, "cannot write to stdout: no bytes taken\n"),
+        (no_space, f"cannot write to stdout: {os.strerror(errno.ENOSPC)}\n"),
+    ], ids=["takes-0-bytes", "takes-none", "no-space"])
+    def test_failed_write_is_one_stderr_line(self, write, message, capsys):
+        class FailingWrites(io.BytesIO):
+            calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                assert self.calls < 100, "a write that takes no bytes is tried again and again"
+                return write(data)
+
+        argv = ["lint", "--format", "json", str(CREATE_USER), str(CLEAN)]
+        with contextlib.redirect_stdout(io.TextIOWrapper(FailingWrites(), "utf-8")):
+            assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exits_two(self):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rest_lint.cli", "lint", str(CREATE_USER)],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (
+            EXIT_ERROR, f"cannot write to stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_stdout_closed_before_the_run_ends_quietly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rest_lint.cli", "lint", str(CREATE_USER)],
+            stderr=subprocess.PIPE, env=cli_env(), timeout=120,
+            preexec_fn=lambda: os.close(1))  # as ">&-" does
+        assert (proc.returncode, proc.stderr) == (EXIT_STDOUT_CLOSED, b"")
 
     @pytest.mark.parametrize("name, path, shown", [
         ("api.json", "/Users\\ud800", "  /Users\\ud800 Lowercase 'Users\\ud800'"),

@@ -19,7 +19,6 @@ from rest_lint import (
     NotAnApiSpec,
     OperationRecord,
     ParseError,
-    VersionKind,
     load_spec,
     load_spec_file,
     model,
@@ -59,7 +58,6 @@ def spec_bytes(doc: dict) -> bytes:
 class TestLoadBasics:
     def test_minimal_openapi3(self):
         spec = load_spec(MINIMAL_V3, "minimal")
-        assert spec.version_kind is VersionKind.OPENAPI3
         assert list(spec.paths) == ["/users"]
         entry = spec.paths["/users"]
         assert list(entry.operations) == ["GET"]
@@ -123,8 +121,20 @@ class TestLoadBasics:
 
     def test_paths_without_marker_assumes_openapi3(self):
         spec = load_spec(spec_bytes({"paths": {}}), "bare")
-        assert spec.version_kind is VersionKind.OPENAPI3
         assert any("assuming OpenAPI 3" in d for d in spec.diagnostics)
+
+    @pytest.mark.parametrize("marker, swagger2", [
+        ({"swagger": "2.0"}, True), ({"swagger": 2}, True), ({"swagger": "1.2"}, False),
+        ({"openapi": "3.0.0"}, False), ({}, False),
+    ], ids=["swagger-2.0", "swagger-2-number", "swagger-1.2", "openapi-3", "no-marker"])
+    def test_version_decides_trace_and_inherited_media(self, marker, swagger2):
+        # Only Swagger 2 inherits the root's produces list, and it has no trace operation.
+        spec = load_spec(spec_bytes({**marker, "produces": ["application/json"],
+                                     "paths": {"/a": {"get": _OK, "trace": _OK}}}), "v")
+        operations = spec.paths["/a"].operations
+        assert list(operations) == (["GET"] if swagger2 else ["GET", "TRACE"])
+        assert operations["GET"].responses["200"] == (
+            frozenset({"application/json"}) if swagger2 else frozenset())
 
     def test_loading_same_bytes_is_deterministic(self):
         assert load_spec(MINIMAL_V3, "a") == load_spec(MINIMAL_V3, "a")
@@ -147,7 +157,6 @@ class TestSwagger2Mapping:
             },
         }
         spec = load_spec(spec_bytes(doc), "v2")
-        assert spec.version_kind is VersionKind.SWAGGER2
         op = spec.paths["/things"].operations["GET"]
         assert op.responses["200"] == frozenset({"application/json"})
 
@@ -333,53 +342,49 @@ class TestDiagnostics:
         assert op.responses["200"] == frozenset({"application/json"})
         assert any("invalid media type" in d for d in spec.diagnostics)
 
-    @pytest.mark.parametrize("raw, version, diagnostics", [
-        (spec_bytes({"openapi": "3.0.0", "paths": ["/a"]}), VersionKind.OPENAPI3,
+    @pytest.mark.parametrize("raw, diagnostics", [
+        (spec_bytes({"openapi": "3.0.0", "paths": ["/a"]}),
          ("'paths' is not a mapping; treated as empty",)),
-        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": ["get"]}}), VersionKind.OPENAPI3,
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": ["get"]}}),
          ("/a: path item is not a mapping; treated as empty",)),
-        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"get": "x"}}}), VersionKind.OPENAPI3,
+        (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"get": "x"}}}),
          ("/a: operation GET is not a mapping; skipped",)),
         (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"get": {"responses": ["200"]}}}}),
-         VersionKind.OPENAPI3,
          ("/a GET: 'responses' is not a mapping; treated as empty",
           "/a GET: no responses declared")),
         (spec_bytes({"swagger": "2.0", "consumes": "application/json",
                      "produces": "application/json", "paths": {"/a": {"post": {
                          "parameters": [{"in": "body", "name": "b"}], **_OK}}}}),
-         VersionKind.SWAGGER2,
          ("root consumes: expected a list of media types; ignored",
           "root produces: expected a list of media types; ignored")),
         (spec_bytes({"swagger": "2.0", "paths": {"/a": {"post": {
             "consumes": "application/json", "produces": "application/json", **_OK}}}}),
-         VersionKind.SWAGGER2,
          ("/a POST consumes: expected a list of media types; ignored",
           "/a POST produces: expected a list of media types; ignored")),
-        (spec_bytes({"swagger": "1.2", "paths": {"/a": {"get": _OK}}}), VersionKind.OPENAPI3,
+        (spec_bytes({"swagger": "1.2", "paths": {"/a": {"get": _OK}}}),
          ("unrecognized swagger version '1.2'; treating as OpenAPI 3",)),
-        (spec_bytes({"paths": {"/a": {"get": _OK}}}), VersionKind.OPENAPI3,
+        (spec_bytes({"paths": {"/a": {"get": _OK}}}),
          ("no 'swagger'/'openapi' version marker; assuming OpenAPI 3",)),
         (spec_bytes({"openapi": "3.0.0", "paths": {"/a": {"$ref": "#/paths/~1a"}}}),
-         VersionKind.OPENAPI3, ("/a: $ref chain too deep or cyclic, treated as empty",)),
+         ("/a: $ref chain too deep or cyclic, treated as empty",)),
         (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
          b"        200: {description: int}\n        '200': {description: str}\n",
-         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+         ("/a GET: duplicate response status '200'; first kept",)),
         (b'{"openapi":"3.0.0","paths":{"/a":{"get":{"responses":'
          b'{"200":{"description":"a"},"200":{"description":"b"}}}}}}',
-         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+         ("/a GET: duplicate response status '200'; first kept",)),
         (b"openapi: 3.0.0\npaths:\n  /a:\n    get:\n      responses:\n"
          b"        200: {description: a}\n        200: {description: b}\n",
-         VersionKind.OPENAPI3, ("/a GET: duplicate response status '200'; first kept",)),
+         ("/a GET: duplicate response status '200'; first kept",)),
         (b'{"openapi":"3.0.0","paths":{"/a":{"get":{"responses":'
          b'{"foo":{"description":"a"},"foo":{"description":"b"},"200":{"description":"c"}}}}}}',
-         VersionKind.OPENAPI3, ("/a GET: invalid response status key 'foo'; dropped",)),
+         ("/a GET: invalid response status key 'foo'; dropped",)),
         (spec_bytes({"openapi": "3.0.0", "paths": {
             "/b": {"parameters": [{"$ref": "#/nope"}], "get": {"$ref": "#/y"},
                    "post": {"parameters": [{"$ref": "other#/p"}],
                             "requestBody": {"$ref": "#/rb"},
                             "responses": {"200": {"$ref": "#/r"}}}},
             "/a": {"$ref": "#/x"}}}),
-         VersionKind.OPENAPI3,
          ("/b parameter: $ref '#/nope' does not resolve, treated as empty",
           "/b.get: $ref '#/y' does not resolve, treated as empty",
           "/b GET: no responses declared",
@@ -387,14 +392,12 @@ class TestDiagnostics:
           "/b POST requestBody: $ref '#/rb' does not resolve, treated as empty",
           "/b POST 200: $ref '#/r' does not resolve, treated as empty",
           "/a: $ref '#/x' does not resolve, treated as empty")),
-        (STATUS_KEYS_THAT_HASH_ALIKE, VersionKind.OPENAPI3,
+        (STATUS_KEYS_THAT_HASH_ALIKE,
          ("/c GET: duplicate response status '200'; first kept",
           "/c GET: invalid response status key True; dropped")),
         (b'{"swagger": "2.0", "paths": {"/\\xe9": {"get": {"responses": {"200": {}}}}}}',
-         VersionKind.SWAGGER2,
          ("not valid JSON (Invalid \\escape at line 1 column 32); read as YAML",)),
         (b"\n  {openapi: 3.0.0, paths: {/a: {get: {responses: {200: {description: x}}}}}}",
-         VersionKind.OPENAPI3,
          ("not valid JSON (Expecting property name enclosed in double quotes at line 2 "
           "column 4); read as YAML",)),
     ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
@@ -403,9 +406,8 @@ class TestDiagnostics:
             "duplicate-response-status", "repeated-response-status-json",
             "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts",
             "status-keys-that-hash-alike", "json-escape-read-as-yaml", "yaml-flow-mapping"])
-    def test_builder_diagnostics(self, raw, version, diagnostics):
-        spec = load_spec(raw, "diag")
-        assert (spec.version_kind, spec.diagnostics) == (version, diagnostics)
+    def test_builder_diagnostics(self, raw, diagnostics):
+        assert load_spec(raw, "diag").diagnostics == diagnostics
 
     def test_status_keys_that_hash_alike_normalize_apart(self):
         # true, 1 and 1.0 hash alike, as do 200 and 200.0, across operations too.
@@ -645,6 +647,74 @@ def _yaml_texts():
     )
 
 
+# Pieces of block-style texts for the line reader's property: what it reads,
+# and, about one draw in ten, what it must hand over or fail on. The weights
+# are repeats in one sampled_from, since one_of draws a repeated strategy once.
+_BLOCK_VALUES = [
+    "a", "a b", "a  b", "a:b", "a#b", "a #b", "-foo", "-1", "1", "-3", "0x1A", "0o17", "1_000",
+    "1.5", "6.8e+2", ".inf", "-.NaN", "yes", "No", "on", "OFF", "true", "False", "null", "~",
+    "y", "2001-12-14", "2001-12-14 21:59:43.10 -5", "é ü", "'it''s'", "''", "'a # b'", "' x '",
+    '"x\\u00e9\\n\\"q\\\\"', '"a\\x41\\tb\\/"', '""', '"\\U0010FFFF"', "{}", "[]", "",
+]
+_BLOCK_SCALARS = st.sampled_from(_BLOCK_VALUES * 3 + [
+    '"\\q"', '"\\x4"', "<<", "=", ":x", "?x", "x:", "'a'b", "{a: 1}", "[a]", "*a", "&a b"])
+_BLOCK_KEY_WORDS = ["a", "b", "a", "<<", "1", "0x1", "true", "on", "~", "'a'", '"b"', "a b", "-k",
+                    "x:y", "k#", '"\\t"', "''", "2001-12-14", "a  "]
+_LONG_KEYS = st.one_of(st.integers(1020, 1030).map(lambda n: "k" * n),
+                       st.integers(1020, 1030).map(lambda n: "'" + "k" * (n - 2) + "'"))
+_BLOCK_KEYS = st.integers(0, 15).flatmap(lambda i: _LONG_KEYS if i == 0 else st.sampled_from(
+    _BLOCK_KEY_WORDS * 2 + ["? q", "a: b", "&k k"]))
+# Added to a line: trailing spaces, a comment, a comment or blank line after
+# it, or a more indented plain line that continues a scalar or breaks the text.
+_BLOCK_TAILS = st.sampled_from(["", "", " ", "  # c", " #", "\n# own", "\n"] * 3
+                               + ["\n   q", "\n  ...", "\n--- x"])
+
+
+def _block_lines(node, indent: int, step: int, indentless: bool) -> list[str]:
+    kind, children = node
+    pad, lines = " " * indent, []
+    for child in children:
+        head, value = (f"{pad}{child[0]}:", child[1]) if kind == "map" else (f"{pad}-", child)
+        if isinstance(value, str):
+            lines.append(f"{head} {value}")
+        elif not value[1]:
+            lines.append(f"{head} " + ("{}" if value[0] == "map" else "[]"))
+        elif kind == "seq" and step == 2:  # compact: "- key: value", "- - entry"
+            inner = _block_lines(value, indent + 2, step, indentless)
+            lines += [f"{head} {inner[0][indent + 2:]}"] + inner[1:]
+        else:
+            deeper = indent if indentless and kind == "map" and value[0] == "seq" else indent + step
+            lines += [head] + _block_lines(value, deeper, step, indentless)
+    return lines
+
+
+def _block_texts():
+    """Block-style YAML: nested and compact sequences, sequences at their key's
+    column, every kind of scalar, with comments, trailing spaces and CRLF."""
+    nodes = st.recursive(
+        _BLOCK_SCALARS,
+        lambda children: st.one_of(
+            st.tuples(st.just("seq"), st.lists(children, max_size=4)),
+            st.tuples(st.just("map"), st.lists(st.tuples(_BLOCK_KEYS, children), max_size=4)),
+        ),
+        max_leaves=12,
+    )
+    roots = st.one_of(
+        st.tuples(st.just("map"), st.lists(st.tuples(_BLOCK_KEYS, nodes), min_size=1, max_size=4)),
+        st.tuples(st.just("seq"), st.lists(nodes, min_size=1, max_size=4)),
+    )
+
+    def render(drawn) -> str:
+        root, step, indentless, tails, newline, start = drawn
+        lines = _block_lines(root, 0, step, indentless)
+        text = "\n".join(line + tails[i % len(tails)] for i, line in enumerate(lines))
+        return start + text.replace("\n", newline) + newline
+
+    return st.tuples(roots, st.integers(1, 4), st.booleans(), st.lists(_BLOCK_TAILS, min_size=1),
+                     st.sampled_from(["\n", "\r\n"]), st.sampled_from(["", "", "---\n", "# c\n"])
+                     ).map(render)
+
+
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks LibYAML")
 
 # Text that LibYAML reads and the pure-Python scanner rejects or reads otherwise.
@@ -706,11 +776,13 @@ class TestYamlLoaders:
         for path in tmp_path.rglob("*.y*ml"):
             texts[str(path.relative_to(tmp_path))] = path.read_text(encoding="utf-8")
         assert len(texts) > len(list(CORPUS.glob("*.yaml")))
-        for name, text in sorted(texts.items()):  # the loop itself: a hand-over fails here
-            fast = model._yaml_from_events(text)
+        for name, text in sorted(texts.items()):
             pure = yaml.load(text, Loader=model._DupSafeLoader)
-            assert repr(fast) == repr(pure), name
-            assert _duplicate_keys(fast) == _duplicate_keys(pure), name
+            # Each fast path on its own: a hand-over fails here, so none can go unseen.
+            for fast_path in (model._yaml_from_lines, model._yaml_from_events):
+                fast = fast_path(text, {})
+                assert repr(fast) == repr(pure), (fast_path.__name__, name)
+                assert _duplicate_keys(fast) == _duplicate_keys(pure), (fast_path.__name__, name)
 
     @needs_libyaml
     def test_parse_matches_pure_python_parse(self, monkeypatch):
@@ -730,8 +802,13 @@ class TestYamlLoaders:
         (b"a: &x 1\nb: &x 2\n", ("error", "invalid YAML: second occurrence (line 2 column 4)",
                                   "line 2 column 4")),
         (b"[" * 120 + b"x" + b"]" * 120, ("document", "[" * 120 + "'x'" + "]" * 120, [])),
+        (b"".join(b" " * i + b"k:\n" for i in range(1000)),
+         ("error", "document nesting too deep", None)),
+        (b"".join(b" " * i + b"-\n" for i in range(1000)),
+         ("error", "document nesting too deep", None)),
     ], ids=["self-sequence", "nested-self-sequence", "self-sequence-in-mapping",
-            "self-mapping", "repeated-anchor", "depth-120"])
+            "self-mapping", "repeated-anchor", "depth-120", "block-mappings-1000-deep",
+            "block-sequences-1000-deep"])
     def test_recursion_and_depth_read_alike_on_both_paths(self, raw, expected, monkeypatch):
         fast = _parsed(raw)
         monkeypatch.setattr(model, "_FAST_YAML", None)
@@ -746,6 +823,82 @@ class TestYamlLoaders:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_FAST_YAML", None)
             assert _parsed(data) == fast
+
+    @needs_libyaml
+    @settings(max_examples=400, deadline=None)
+    @given(_block_texts())
+    def test_line_reader_matches_pure_python_parse(self, text):
+        try:
+            read = model._yaml_from_lines(text, {})
+        except Exception:  # a hand-over, or an error the pure-Python parser reports
+            pass
+        else:
+            pure = yaml.load(text, Loader=model._DupSafeLoader)
+            assert repr(read) == repr(pure)
+            assert _duplicate_keys(read) == _duplicate_keys(pure)
+        data = text.encode("utf-8")
+        fast = _parsed(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_FAST_YAML", None)
+            assert _parsed(data) == fast
+
+    @needs_libyaml
+    @pytest.mark.parametrize("raw, taken, expected", [
+        (b"a: -foo\n", True, ("document", "{'a': '-foo'}", [[]])),
+        (b"- -1\n", True, ("document", "[-1]", [])),
+        (b"a: b: c\n", False, ("error", "invalid YAML: mapping values are not allowed here "
+                                        "(line 1 column 5)", "line 1 column 5")),
+        (b"a:b: c\n", True, ("document", "{'a:b': 'c'}", [[]])),
+        (b"a: b#c: d\n", False, ("error", "invalid YAML: mapping values are not allowed here "
+                                           "(line 1 column 7)", "line 1 column 7")),
+        (b"a: b\n  c\n", False, ("document", "{'a': 'b c'}", [[]])),
+        (b"a: 1\n  b: 2\n", False, ("error", "invalid YAML: mapping values are not allowed here "
+                                             "(line 2 column 4)", "line 2 column 4")),
+        (b"---\na: 1\n", True, ("document", "{'a': 1}", [[]])),
+        (b"k" * 1024 + b": v\n", True, ("document", repr({"k" * 1024: "v"}), [[]])),
+        (b"'" + b"k" * 1023 + b"': v\n", False,
+         ("error", "invalid YAML: mapping values are not allowed here (line 1 column 1026)",
+          "line 1 column 1026")),
+        (b"a:\n- b\nc: d\n", True, ("document", "{'a': ['b'], 'c': 'd'}", [[]])),
+        (b"a: 1\n--- b: 2\n", False, ("error", "invalid YAML: but found another document "
+                                               "(line 2 column 1)", "line 2 column 1")),
+        (b"a: b\x7f\n", False, ("error", "invalid YAML: unacceptable character #x007f: special "
+                                         "characters are not allowed (character 5)",
+                                "character 5")),
+        (b"a: b\xc2\x85c\n", False, ("error", "invalid YAML: could not find expected ':' "
+                                               "(line 3 column 1)", "line 3 column 1")),
+        (b"a: b\xe2\x80\xa8c\n", False, ("error", "invalid YAML: could not find expected ':' "
+                                                   "(line 3 column 1)", "line 3 column 1")),
+    ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
+            "continued-scalar", "deeper-key",
+            "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
+            "second-document", "delete-character", "next-line-break", "line-separator"])
+    def test_line_reader_cases(self, raw, taken, expected):
+        text = raw.decode("utf-8")
+        try:
+            model._yaml_from_lines(text, {})
+        except model._HandOver:
+            assert not taken
+        else:
+            assert taken
+        assert _parsed(raw) == expected
+
+    @pytest.mark.parametrize("last", ["x: |\n  a\n", "x: >-\n  a\n", "x: &a 1\ny: *a\n",
+                                      "x: !!str 1\n", "x: [a, b]\n", "- {a: 1}\n", "? x\n"])
+    def test_line_reader_hands_over_before_reading_a_line(self, last, monkeypatch):
+        # A construct it does not take, on the last line, costs no read of the lines before.
+        monkeypatch.setattr(model, "_BLOCK_LINE", "(")  # reading a line would fail to compile
+        with pytest.raises(model._HandOver):
+            model._yaml_from_lines("a: 1\n" * 1000 + last, {})
+
+    def test_pure_python_runs_use_neither_fast_path(self, monkeypatch):
+        def refuse(text, plain):
+            raise AssertionError("a fast path ran")
+
+        monkeypatch.setattr(model, "_yaml_from_lines", refuse)
+        monkeypatch.setattr(model, "_yaml_from_events", refuse)
+        monkeypatch.setattr(model, "_FAST_YAML", None)
+        assert model._parse_document(b"a: [1]\nb: c\n") == {"a": [1], "b": "c"}
 
 
 # Few distinct keys, so that lists of pairs often repeat one.
