@@ -582,21 +582,22 @@ def _perfbench_workloads():
 # Pieces of small YAML texts for the differential property: scalars of every
 # resolved type, quoted and tagged ones, empty block scalars, anchors, aliases
 # (one never defined), "<<" and complex keys, in block and flow style. Odd
-# pieces are drawn less often, so that most texts load.
-_YAML_VALUES = st.sampled_from([
+# pieces are drawn less often, so that most texts load: one draw in six, by
+# repeats in one sampled_from, since one_of draws a repeated strategy once.
+_YAML_VALUES = [
     "1", "-3", "0x1A", "0o17", "1_000", "1.5", "6.8e+2", ".inf", "-.NaN", "true", "False",
     "yes", "off", "null", "~", "", "2001-12-14", "2001-12-14 21:59:43.10 -5", "abc",
     "a b", "'1'", '"true"', "'what?'", '"x\\u00e9"', "''", "!!str 1", "!!binary aGk=",
     "*m", "[*m, {z: 3}]",
-])
-_YAML_ODD = st.sampled_from([
+]
+_YAML_ODD = [
     "what?", "=", "<<", "!", "! x", "! 1", "!!str", "!!binary a", "!!int 7", "!!int x",
     "!!float 1", "!!null ''", "!!timestamp 2001-12-14", "!!set", "!local x", "!!map x",
     "*a", "*b", "*c",
     # Block scalar headers, some with a "#" right after them, which LibYAML reads.
     "|", ">-", "|+2", "|#", ">-#", "|+2#", "|2-#", "!!str |#", "!!str >", "&c |#",
-])
-_YAML_SCALARS = st.one_of(*[_YAML_VALUES] * 5, _YAML_ODD)
+]
+_YAML_SCALARS = st.sampled_from(_YAML_VALUES * 5 + _YAML_ODD)
 _YAML_ANCHORS = st.sampled_from([""] * 8 + ["&a ", "&b "])
 _YAML_KEYS = st.sampled_from(
     ["a", "b", "c", "<<", "<<", "1", "true", "~", "'a'", "[x, y]", "{k: v}", "*a", "&b a",
@@ -655,6 +656,8 @@ _BLOCK_VALUES = [
     "1.5", "6.8e+2", ".inf", "-.NaN", "yes", "No", "on", "OFF", "true", "False", "null", "~",
     "y", "2001-12-14", "2001-12-14 21:59:43.10 -5", "é ü", "'it''s'", "''", "'a # b'", "' x '",
     '"x\\u00e9\\n\\"q\\\\"', '"a\\x41\\tb\\/"', '""', '"\\U0010FFFF"', "{}", "[]", "",
+    # Prose: an indicator after a space, where no node can start.
+    "see {id}", "x > y", "a & b", "what ? now", "see [docs]", "b, *c",
 ]
 _BLOCK_SCALARS = st.sampled_from(_BLOCK_VALUES * 3 + [
     '"\\q"', '"\\x4"', "<<", "=", ":x", "?x", "x:", "'a'b", "{a: 1}", "[a]", "*a", "&a b"])
@@ -869,10 +872,16 @@ class TestYamlLoaders:
                                                "(line 3 column 1)", "line 3 column 1")),
         (b"a: b\xe2\x80\xa8c\n", False, ("error", "invalid YAML: could not find expected ':' "
                                                    "(line 3 column 1)", "line 3 column 1")),
+        # An indicator where a node starts: at a line's content, or after ": " or "- ".
+        (b"- &a x\n", False, ("document", "['x']", [])),
+        (b"k:\n  &a b: c\n", False, ("document", "{'k': {'b': 'c'}}", [[], []])),
+        (b"a:   |\n  x\n", False, ("document", "{'a': 'x\\n'}", [[]])),
+        (b"a: b\n  > c\n", False, ("document", "{'a': 'b > c'}", [[]])),
     ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
-            "second-document", "delete-character", "next-line-break", "line-separator"])
+            "second-document", "delete-character", "next-line-break", "line-separator",
+            "anchored-entry", "anchored-key", "spaced-block-scalar", "continued-at-indicator"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
@@ -890,6 +899,13 @@ class TestYamlLoaders:
         monkeypatch.setattr(model, "_BLOCK_LINE", "(")  # reading a line would fail to compile
         with pytest.raises(model._HandOver):
             model._yaml_from_lines("a: 1\n" * 1000 + last, {})
+
+    @needs_libyaml
+    @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n"], ids=["map", "seq"])
+    def test_equal_empty_containers_are_distinct(self, text):
+        pure = yaml.load(text, Loader=model._DupSafeLoader)
+        for doc in (model._yaml_from_lines(text, {}), model._yaml_from_events(text, {}), pure):
+            assert doc["a"] == doc["b"] and doc["a"] is not doc["b"]
 
     def test_pure_python_runs_use_neither_fast_path(self, monkeypatch):
         def refuse(text, plain):
