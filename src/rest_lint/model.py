@@ -124,6 +124,7 @@ _MERGE_TAG = "tag:yaml.org,2002:merge"
 _MERGE = object()  # a "<<" key until its mapping is built
 _OPEN = object()  # anchor table entry of a container still open
 _MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
+_SCALAR_LOADER = yaml.SafeLoader("")  # resolves and constructs scalars; holds no document
 
 # LibYAML reads tabs and a byte order mark inside the text where the
 # pure-Python scanner fails or reads otherwise (a tab between tokens or
@@ -136,15 +137,18 @@ _BLOCK_HEADER_COMMENT = re.compile(r"[|>](?:[-+]?[1-9]?|[1-9][-+])#")
 _JSON_START = re.compile(r"\s*[{\[]")
 
 
-def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
-    """Keep-first mapping; a "<<" key, given as _MERGE, holds a mapping or a list
-    of mappings whose keys are added where the mapping lacks them.
+def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
+    """Keep-first mapping of keys alternating with their values; a "<<" key,
+    given as _MERGE, holds a mapping or a list of mappings whose keys are added
+    where the mapping lacks them.
 
     Explicit keys win over merged ones wherever they stand, and of merged
     mappings the earlier one wins, so a merged key is never a duplicate.
     """
-    mapping = _keyed_from_pairs(pairs)
-    if _MERGE in mapping:
+    pairs = iter(items)
+    mapping = dict(zip(pairs, pairs))
+    if 2 * len(mapping) != len(items) or _MERGE in mapping:
+        pairs = list(zip(*[iter(items)] * 2))
         mapping = _keyed_from_pairs([pair for pair in pairs if pair[0] is not _MERGE])
         for key, value in pairs:
             if key is _MERGE:
@@ -154,17 +158,8 @@ def _keyed_mapping(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
     return mapping
 
 
-def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
-    """_keyed_mapping of keys alternating with their values."""
-    pairs = iter(items)
-    mapping = dict(zip(pairs, pairs))
-    if 2 * len(mapping) != len(items) or _MERGE in mapping:
-        return _keyed_mapping(list(zip(*[iter(items)] * 2)))
-    return mapping
-
-
 def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> dict[Any, Any]:
-    pairs = []
+    items: list[Any] = []
     for key_node, value_node in node.value:
         if key_node.tag == _MERGE_TAG:
             is_list = isinstance(value_node, yaml.SequenceNode)
@@ -174,44 +169,69 @@ def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> dict[Any, An
                     "while constructing a mapping", node.start_mark,
                     "expected a mapping or list of mappings for merging", value_node.start_mark,
                 )
-            pairs.append((_MERGE, [loader.construct_object(source, deep=True)
-                                   for source in sources]))
+            items += (_MERGE, [loader.construct_object(source, deep=True) for source in sources])
             continue
         key = loader.construct_object(key_node, deep=True)
         try:
             hash(key)
         except TypeError:
             key = str(key)
-        pairs.append((key, loader.construct_object(value_node, deep=True)))
-    return _keyed_mapping(pairs)
+        items += (key, loader.construct_object(value_node, deep=True))
+    return _keyed_flat(items)
 
 
 _DupSafeLoader.add_constructor(_MAP_TAG, _construct_mapping)
 
 
 class _HandOver(Exception):
-    """The event loop leaves the text to the pure-Python loader."""
+    """A fast reader leaves the text to the next one, or to the pure-Python loader."""
 
 
-def _scalar(loader: yaml.CSafeLoader, tag: str, text: str) -> Any:
+def _scalar(tag: str, text: str) -> Any:
     if tag == _MERGE_TAG:
         return _MERGE
     # KeyError for a tag SafeLoader does not construct ("!", "!local", "!!value"...).
-    value = loader.yaml_constructors[tag](loader, yaml.ScalarNode(tag, text))
+    value = _SCALAR_LOADER.yaml_constructors[tag](_SCALAR_LOADER, yaml.ScalarNode(tag, text))
     if isinstance(value, types.GeneratorType):  # a collection tag on a scalar
         raise _HandOver
     return value
 
 
-def _yaml_from_events(text: str, plain: dict[str, Any]) -> Any:
+_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+
+
+def _unescape(match: re.Match[str]) -> str:
+    """A double-quoted escape, from the pure-Python scanner's own tables."""
+    code = match.group(1) or match.group(2) or match.group(3)
+    return chr(int(code, 16)) if code else yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
+
+
+class _Scalars(dict):
+    """One document's scalar values by token, each made once: a quoted token is
+    decoded, a plain one resolved and constructed by its text alone, as SafeLoader
+    does. No value is mutable, so nodes may share one."""
+
+    def __missing__(self, token: str) -> Any:
+        first = token[:1]
+        if first == "'":
+            value = token[1:-1].replace("''", "'")
+        elif first == '"':
+            value = _ESCAPE.sub(_unescape, token[1:-1]) if "\\" in token else token[1:-1]
+        else:
+            value = _scalar(_SCALAR_LOADER.resolve(yaml.ScalarNode, token, (True, False)), token)
+        self[token] = value
+        return value
+
+
+def _yaml_from_events(text: str) -> Any:
     """Build the document in one loop over LibYAML's events, with no recursion.
 
-    A plain scalar resolves as SafeLoader resolves it, by its text alone, so
-    once per distinct text, cached in plain. Raises where the pure-Python
-    loader might read the text otherwise, or fail on it; README lists the cases.
+    Raises where the pure-Python loader might read the text otherwise, or
+    fail on it; README lists the cases.
     """
     loader = yaml.CSafeLoader(text)
-    get_event, resolve = loader.get_event, loader.resolve
+    get_event = loader.get_event
+    scalars = _Scalars()
     anchors: dict[str, Any] = {}
     stack: list[tuple[list[Any], bool, bool, str | None]] = []
     items: list[Any] = []  # the open container's values, for a mapping alternating with keys
@@ -232,16 +252,12 @@ def _yaml_from_events(text: str, plain: dict[str, Any]) -> Any:
                     if flow and (not value or "?" in value):
                         raise _HandOver  # LibYAML may read it otherwise
                     if tag is None:
-                        try:
-                            value = plain[value]
-                        except KeyError:
-                            resolved = resolve(yaml.ScalarNode, value, (True, False))
-                            value = plain.setdefault(value, _scalar(loader, resolved, value))
+                        value = scalars[value]
                 elif event.style in "|>" and _BLOCK_HEADER_COMMENT.match(
                         text, text.find(event.style, event.start_mark.index)):
                     raise _HandOver
                 if tag is not None:
-                    value = _scalar(loader, tag, value)
+                    value = _scalar(tag, value)
                 anchor = event.anchor
                 if value is _MERGE and (not is_map or len(items) % 2 or anchor is not None):
                     raise _HandOver  # "<<" other than as a plain mapping key
@@ -311,23 +327,15 @@ _DOCUMENT_START = re.compile(
 # search for a character class.
 _NODE_STARTS = tuple((char, re.compile(re.escape(char) + "(?<![^ \\n].)(?![\\]}])"))
                      for char in "|>&*!?[{")
-_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
 
 
-def _unescape(match: re.Match[str]) -> str:
-    """A double-quoted escape, from the pure-Python scanner's own tables."""
-    code = match.group(1) or match.group(2) or match.group(3)
-    return chr(int(code, 16)) if code else yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
-
-
-def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
+def _yaml_from_lines(text: str) -> Any:
     """Build a block-style document in one regex match a line, with no recursion.
 
     Takes block mappings and sequences of one-line plain and quoted scalars,
     {} and [], and comments, and raises _HandOver at anything else. Scalars
-    resolve as in _yaml_from_events, through the same cache, which also keeps
-    quoted scalars under their quoted text. Nesting stops at _MAX_EVENT_DEPTH
-    as there, and an implicit key past 1,024 characters, which the
+    resolve through a _Scalars table, and nesting stops at _MAX_EVENT_DEPTH, as
+    in _yaml_from_events. An implicit key past 1,024 characters, which the
     pure-Python scanner rejects, is handed over. The text is decoded UTF-8,
     so it holds no lone surrogate, which that scanner rejects too.
     """
@@ -335,19 +343,7 @@ def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
         raise _HandOver
     if not text.isascii() and any(char in text for char in _WIDE_NOT_TEXT):
         raise _HandOver
-    loader = yaml.CSafeLoader("")
-    resolve = loader.resolve
-
-    def scalar(token: str) -> Any:
-        first = token[0]
-        if first == "'":
-            value = token[1:-1].replace("''", "'")
-        elif first == '"':
-            value = _ESCAPE.sub(_unescape, token[1:-1]) if "\\" in token else token[1:-1]
-        else:
-            value = _scalar(loader, resolve(yaml.ScalarNode, token, (True, False)), token)
-        return plain.setdefault(token, value)
-
+    scalars = _Scalars()
     stack: list[tuple[int, list[Any], bool, bool]] = []
     # The open node: its column, its values (keys alternating with values in a
     # mapping), whether it is a mapping, and whether it is a sequence at its
@@ -386,10 +382,7 @@ def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
                 raise _HandOver
             if key[-1] == " ":
                 key = key.rstrip(" ")
-            try:
-                key = plain[key]
-            except KeyError:
-                key = scalar(key)
+            key = scalars[key]
             if opens or dashes:  # the first key of a mapping
                 if len(stack) == _MAX_EVENT_DEPTH:
                     raise _HandOver
@@ -398,15 +391,12 @@ def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
             items.append(key)
             slot = True
         if value is not None:
-            try:
-                value = plain[value]
-            except KeyError:
-                if value in ("{}", "[]"):
-                    if len(stack) == _MAX_EVENT_DEPTH:
-                        raise _HandOver from None
-                    value = {} if value == "{}" else []
-                else:
-                    value = scalar(value)
+            if value == "{}" or value == "[]":  # a new node each time, so not in the table
+                if len(stack) == _MAX_EVENT_DEPTH:
+                    raise _HandOver
+                value = {} if value == "{}" else []
+            else:
+                value = scalars[value]
             if value is _MERGE:
                 raise _HandOver  # "<<" other than as a key
             items.append(value)
@@ -420,17 +410,8 @@ def _yaml_from_lines(text: str, plain: dict[str, Any]) -> Any:
     return items[0]
 
 
-def _read_yaml(text: str) -> Any:
-    """The document as the line reader builds it, else as the event loop does."""
-    plain: dict[str, Any] = {}  # scalar text -> value, for the document
-    try:
-        return _yaml_from_lines(text, plain)
-    except _HandOver:
-        return _yaml_from_events(text, plain)
-
-
-# The fast paths where PyYAML has LibYAML; None leaves all text to _DupSafeLoader.
-_FAST_YAML = _read_yaml if yaml.__with_libyaml__ else None
+# The fast readers need LibYAML; a false value leaves all text to _DupSafeLoader.
+_FAST_YAML = yaml.__with_libyaml__
 
 
 def _load_yaml(text: str) -> Any:
@@ -441,11 +422,14 @@ def _load_yaml(text: str) -> Any:
     event loop leaves, or either fails on, is parsed again by _DupSafeLoader,
     whose result or error stands, so every diagnostic is the pure-Python parser's.
     """
-    if _FAST_YAML is not None and not any(char in text for char in _PURE_PYTHON_CHARS):
-        try:
-            return _FAST_YAML(text)
-        except Exception:
-            pass
+    if _FAST_YAML and not any(char in text for char in _PURE_PYTHON_CHARS):
+        for read in (_yaml_from_lines, _yaml_from_events):
+            try:
+                return read(text)
+            except _HandOver:
+                continue
+            except Exception:
+                break
     return yaml.load(text, Loader=_DupSafeLoader)
 
 

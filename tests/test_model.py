@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime
 import importlib.util
 import io
 import json
@@ -783,7 +784,7 @@ class TestYamlLoaders:
             pure = yaml.load(text, Loader=model._DupSafeLoader)
             # Each fast path on its own: a hand-over fails here, so none can go unseen.
             for fast_path in (model._yaml_from_lines, model._yaml_from_events):
-                fast = fast_path(text, {})
+                fast = fast_path(text)
                 assert repr(fast) == repr(pure), (fast_path.__name__, name)
                 assert _duplicate_keys(fast) == _duplicate_keys(pure), (fast_path.__name__, name)
 
@@ -832,7 +833,7 @@ class TestYamlLoaders:
     @given(_block_texts())
     def test_line_reader_matches_pure_python_parse(self, text):
         try:
-            read = model._yaml_from_lines(text, {})
+            read = model._yaml_from_lines(text)
         except Exception:  # a hand-over, or an error the pure-Python parser reports
             pass
         else:
@@ -885,7 +886,7 @@ class TestYamlLoaders:
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
-            model._yaml_from_lines(text, {})
+            model._yaml_from_lines(text)
         except model._HandOver:
             assert not taken
         else:
@@ -898,17 +899,27 @@ class TestYamlLoaders:
         # A construct it does not take, on the last line, costs no read of the lines before.
         monkeypatch.setattr(model, "_BLOCK_LINE", "(")  # reading a line would fail to compile
         with pytest.raises(model._HandOver):
-            model._yaml_from_lines("a: 1\n" * 1000 + last, {})
+            model._yaml_from_lines("a: 1\n" * 1000 + last)
 
     @needs_libyaml
     @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n"], ids=["map", "seq"])
     def test_equal_empty_containers_are_distinct(self, text):
         pure = yaml.load(text, Loader=model._DupSafeLoader)
-        for doc in (model._yaml_from_lines(text, {}), model._yaml_from_events(text, {}), pure):
+        for doc in (model._yaml_from_lines(text), model._yaml_from_events(text), pure):
             assert doc["a"] == doc["b"] and doc["a"] is not doc["b"]
 
+    def test_scalar_table_makes_each_value_once(self):
+        table = model._Scalars()
+        expected = {"yes": True, "'yes'": "yes", '"\\u00e9"': "\u00e9", "''": "", "": None,
+                    "<<": model._MERGE, "2001-12-14": datetime.date(2001, 12, 14), "1.5": 1.5}
+        for token, value in expected.items():
+            assert type(table[token]) is type(value) and table[token] == value, token
+        assert table["<<"] is model._MERGE
+        assert table["1.5"] is table["1.5"] and table["2001-12-14"] is table["2001-12-14"]
+        assert list(table) == list(expected)
+
     def test_pure_python_runs_use_neither_fast_path(self, monkeypatch):
-        def refuse(text, plain):
+        def refuse(text):
             raise AssertionError("a fast path ran")
 
         monkeypatch.setattr(model, "_yaml_from_lines", refuse)
