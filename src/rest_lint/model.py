@@ -321,10 +321,10 @@ _BLOCK_LINE = (
 _DOCUMENT_START = re.compile(
     f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?:\\n|\\Z)")
 # A block scalar, anchor, alias, tag, complex key or flow collection starts
-# with one of these after a space or a line break. Found anywhere, it hands
-# the text over before a line is read, so that none is read twice; each a
-# substring test, then a literal-prefix search, both far cheaper than one
-# search for a character class.
+# with one of these where a node can: at a line's content, or after ":" or "-"
+# and spaces. Found there, it hands the text over before a line is read, so that
+# none is read twice; after other text, as in "a: x > y", it is plain text. Each
+# a substring test, then a literal-prefix search, far cheaper than a class search.
 _NODE_STARTS = tuple((char, re.compile(re.escape(char) + "(?<![^ \\n].)(?![\\]}])"))
                      for char in "|>&*!?[{")
 
@@ -339,8 +339,13 @@ def _yaml_from_lines(text: str) -> Any:
     pure-Python scanner rejects, is handed over. The text is decoded UTF-8,
     so it holds no lone surrogate, which that scanner rejects too.
     """
-    if any(char in text and start.search(text) for char, start in _NODE_STARTS):
-        raise _HandOver
+    for char, start in _NODE_STARTS:
+        for hit in start.finditer(text) if char in text else ():
+            at = hit.start() - 1
+            while at >= 0 and text[at] == " ":  # back over the spaces before the hit
+                at -= 1
+            if at < 0 or text[at] in "\n:-":
+                raise _HandOver
     if not text.isascii() and any(char in text for char in _WIDE_NOT_TEXT):
         raise _HandOver
     scalars = _Scalars()

@@ -873,7 +873,15 @@ class TestYamlLoaders:
                                                "(line 3 column 1)", "line 3 column 1")),
         (b"a: b\xe2\x80\xa8c\n", False, ("error", "invalid YAML: could not find expected ':' "
                                                    "(line 3 column 1)", "line 3 column 1")),
-        # An indicator where a node starts: at a line's content, or after ": " or "- ".
+        # An indicator after other text is part of a plain scalar...
+        (b"description: Returns the {id} item\n", True,
+         ("document", "{'description': 'Returns the {id} item'}", [[]])),
+        (b"a: x > b\n", True, ("document", "{'a': 'x > b'}", [[]])),
+        (b"q: What ? now\n", True, ("document", "{'q': 'What ? now'}", [[]])),
+        (b"a: b & c\n", True, ("document", "{'a': 'b & c'}", [[]])),
+        (b"a: see [docs]\n", True, ("document", "{'a': 'see [docs]'}", [[]])),
+        # ...and one where a node starts, at a line's content or after ": " or "- ",
+        # is handed over.
         (b"- &a x\n", False, ("document", "['x']", [])),
         (b"k:\n  &a b: c\n", False, ("document", "{'k': {'b': 'c'}}", [[], []])),
         (b"a:   |\n  x\n", False, ("document", "{'a': 'x\\n'}", [[]])),
@@ -882,6 +890,7 @@ class TestYamlLoaders:
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
             "second-document", "delete-character", "next-line-break", "line-separator",
+            "prose-brace", "prose-folded", "prose-question", "prose-ampersand", "prose-bracket",
             "anchored-entry", "anchored-key", "spaced-block-scalar", "continued-at-indicator"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
