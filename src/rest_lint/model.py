@@ -415,7 +415,7 @@ def _yaml_from_lines(text: str) -> Any:
     return items[0]
 
 
-# The fast readers need LibYAML; a false value leaves all text to _DupSafeLoader.
+# The fast readers run where PyYAML has LibYAML; false leaves all text to _DupSafeLoader.
 _FAST_YAML = yaml.__with_libyaml__
 
 

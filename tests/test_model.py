@@ -923,7 +923,6 @@ class TestYamlLoaders:
                     "<<": model._MERGE, "2001-12-14": datetime.date(2001, 12, 14), "1.5": 1.5}
         for token, value in expected.items():
             assert type(table[token]) is type(value) and table[token] == value, token
-        assert table["<<"] is model._MERGE
         assert table["1.5"] is table["1.5"] and table["2001-12-14"] is table["2001-12-14"]
         assert list(table) == list(expected)
 
