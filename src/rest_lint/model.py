@@ -14,14 +14,13 @@ immutable after load and safe to share across checkers.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import types
 from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any, BinaryIO, NamedTuple
-
-import yaml
 
 from .errors import NotAnApiSpec, ParseError
 
@@ -115,24 +114,19 @@ def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
     return mapping
 
 
-class _DupSafeLoader(yaml.SafeLoader):
-    """PyYAML's pure-Python loader: the fallback, and the parser whose errors stand."""
-
-
-_MAP_TAG, _SEQ_TAG = yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, "tag:yaml.org,2002:seq"
+_MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 _MERGE = object()  # a "<<" key until its mapping is built
 _OPEN = object()  # anchor table entry of a container still open
 _MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
-_SCALAR_LOADER = yaml.SafeLoader("")  # resolves and constructs scalars; holds no document
 
 # LibYAML reads tabs and a byte order mark inside the text where the
 # pure-Python scanner fails or reads otherwise (a tab between tokens or
 # inside a plain scalar). Text with either is left to the pure-Python loader.
 _PURE_PYTHON_CHARS = "\t\ufeff"
 # LibYAML also reads a "#" right after a block scalar header, which the
-# pure-Python scanner rejects.
-_BLOCK_HEADER_COMMENT = re.compile(r"[|>](?:[-+]?[1-9]?|[1-9][-+])#")
+# pure-Python scanner rejects. Compiled where first used, in the event loop.
+_BLOCK_HEADER_COMMENT = r"[|>](?:[-+]?[1-9]?|[1-9][-+])#"
 # Text that starts like a JSON object or array; matched in place, not copied.
 _JSON_START = re.compile(r"\s*[{\[]")
 
@@ -158,52 +152,133 @@ def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
     return mapping
 
 
-def _construct_mapping(loader: yaml.SafeLoader, node: yaml.Node) -> dict[Any, Any]:
-    items: list[Any] = []
-    for key_node, value_node in node.value:
-        if key_node.tag == _MERGE_TAG:
-            is_list = isinstance(value_node, yaml.SequenceNode)
-            sources = value_node.value if is_list else [value_node]
-            if not all(isinstance(source, yaml.MappingNode) for source in sources):
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    "expected a mapping or list of mappings for merging", value_node.start_mark,
-                )
-            items += (_MERGE, [loader.construct_object(source, deep=True) for source in sources])
-            continue
-        key = loader.construct_object(key_node, deep=True)
-        try:
-            hash(key)
-        except TypeError:
-            key = str(key)
-        items += (key, loader.construct_object(value_node, deep=True))
-    return _keyed_flat(items)
+@functools.cache
+def _pure_loader() -> Any:
+    """PyYAML's pure-Python SafeLoader, building mappings with _keyed_flat: the
+    fallback, and the parser whose errors stand. Built, and PyYAML imported, on
+    first need."""
+    import yaml
 
+    class _DupSafeLoader(yaml.SafeLoader):
+        def construct_keyed_mapping(self, node: Any) -> dict[Any, Any]:
+            items: list[Any] = []
+            for key_node, value_node in node.value:
+                if key_node.tag == _MERGE_TAG:
+                    is_list = isinstance(value_node, yaml.SequenceNode)
+                    sources = value_node.value if is_list else [value_node]
+                    if not all(isinstance(source, yaml.MappingNode) for source in sources):
+                        raise yaml.constructor.ConstructorError(
+                            "while constructing a mapping", node.start_mark,
+                            "expected a mapping or list of mappings for merging",
+                            value_node.start_mark,
+                        )
+                    items += (_MERGE, [self.construct_object(source, deep=True)
+                                       for source in sources])
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                try:
+                    hash(key)
+                except TypeError:
+                    key = str(key)
+                items += (key, self.construct_object(value_node, deep=True))
+            return _keyed_flat(items)
 
-_DupSafeLoader.add_constructor(_MAP_TAG, _construct_mapping)
+    _DupSafeLoader.add_constructor(_MAP_TAG, _DupSafeLoader.construct_keyed_mapping)
+    return _DupSafeLoader
 
 
 class _HandOver(Exception):
     """A fast reader leaves the text to the next one, or to the pure-Python loader."""
 
 
+@functools.cache
+def _scalar_loader() -> Any:
+    import yaml
+
+    return yaml.SafeLoader("")  # constructs scalars; holds no document
+
+
 def _scalar(tag: str, text: str) -> Any:
     if tag == _MERGE_TAG:
         return _MERGE
+    import yaml
+
+    loader = _scalar_loader()
     # KeyError for a tag SafeLoader does not construct ("!", "!local", "!!value"...).
-    value = _SCALAR_LOADER.yaml_constructors[tag](_SCALAR_LOADER, yaml.ScalarNode(tag, text))
+    value = loader.yaml_constructors[tag](loader, yaml.ScalarNode(tag, text))
     if isinstance(value, types.GeneratorType):  # a collection tag on a scalar
         raise _HandOver
     return value
 
 
-_ESCAPE = re.compile(r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))")
+# yaml/resolver.py's implicit resolvers, by which SafeLoader resolves a plain
+# scalar, copied verbatim and in its order: tag, pattern, flags and first
+# characters. A test pins them to SafeLoader's own table.
+_IMPLICIT_RESOLVERS = (
+    ("tag:yaml.org,2002:bool", r'''^(?:yes|Yes|YES|no|No|NO
+                    |true|True|TRUE|false|False|FALSE
+                    |on|On|ON|off|Off|OFF)$''', re.X, list('yYnNtTfFoO')),
+    ("tag:yaml.org,2002:float", r'''^(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?
+                    |\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?
+                    |[-+]?[0-9][0-9_]*(?::[0-5]?[0-9])+\.[0-9_]*
+                    |[-+]?\.(?:inf|Inf|INF)
+                    |\.(?:nan|NaN|NAN))$''', re.X, list('-+0123456789.')),
+    ("tag:yaml.org,2002:int", r'''^(?:[-+]?0b[0-1_]+
+                    |[-+]?0[0-7_]+
+                    |[-+]?(?:0|[1-9][0-9_]*)
+                    |[-+]?0x[0-9a-fA-F_]+
+                    |[-+]?[1-9][0-9_]*(?::[0-5]?[0-9])+)$''', re.X, list('-+0123456789')),
+    ("tag:yaml.org,2002:merge", r'^(?:<<)$', 0, ['<']),
+    ("tag:yaml.org,2002:null", r'''^(?: ~
+                    |null|Null|NULL
+                    | )$''', re.X, ['~', 'n', 'N', '']),
+    ("tag:yaml.org,2002:timestamp", r'''^(?:[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]
+                    |[0-9][0-9][0-9][0-9] -[0-9][0-9]? -[0-9][0-9]?
+                     (?:[Tt]|[ \t]+)[0-9][0-9]?
+                     :[0-9][0-9] :[0-9][0-9] (?:\.[0-9]*)?
+                     (?:[ \t]*(?:Z|[-+][0-9][0-9]?(?::[0-9][0-9])?))?)$''', re.X,
+     list('0123456789')),
+    ("tag:yaml.org,2002:value", r'^(?:=)$', 0, ['=']),
+    ("tag:yaml.org,2002:yaml", r'^(?:!|&|\*)$', 0, list('!&*')),
+)
+
+
+@functools.cache
+def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
+    """_IMPLICIT_RESOLVERS compiled and keyed by first character, as SafeLoader keys them."""
+    table: dict[str, list[tuple[str, re.Pattern[str]]]] = {}
+    for tag, pattern, flags, first in _IMPLICIT_RESOLVERS:
+        compiled = re.compile(pattern, flags)
+        for char in first:
+            table.setdefault(char, []).append((tag, compiled))
+    return table
+
+
+def _plain(token: str) -> Any:
+    """A plain scalar's value, resolved as SafeLoader resolves it. A string, bool,
+    null or "<<" is built here; any other tag needs PyYAML's constructors."""
+    for tag, pattern in _implicit_resolvers().get(token[:1], ()):
+        if pattern.match(token):
+            if tag == "tag:yaml.org,2002:bool":
+                return token.lower() in ("yes", "true", "on")
+            if tag == "tag:yaml.org,2002:null":
+                return None
+            return _scalar(tag, token)
+    return token
+
+
+# Compiled where first used, so that a run on JSON alone never compiles it.
+_ESCAPE = r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 
 
 def _unescape(match: re.Match[str]) -> str:
     """A double-quoted escape, from the pure-Python scanner's own tables."""
     code = match.group(1) or match.group(2) or match.group(3)
-    return chr(int(code, 16)) if code else yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
+    if code:
+        return chr(int(code, 16))
+    import yaml
+
+    return yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
 
 
 class _Scalars(dict):
@@ -216,9 +291,10 @@ class _Scalars(dict):
         if first == "'":
             value = token[1:-1].replace("''", "'")
         elif first == '"':
-            value = _ESCAPE.sub(_unescape, token[1:-1]) if "\\" in token else token[1:-1]
+            text = token[1:-1]
+            value = re.compile(_ESCAPE).sub(_unescape, text) if "\\" in text else text
         else:
-            value = _scalar(_SCALAR_LOADER.resolve(yaml.ScalarNode, token, (True, False)), token)
+            value = _plain(token)
         self[token] = value
         return value
 
@@ -227,8 +303,12 @@ def _yaml_from_events(text: str) -> Any:
     """Build the document in one loop over LibYAML's events, with no recursion.
 
     Raises where the pure-Python loader might read the text otherwise, or
-    fail on it; README lists the cases.
+    fail on it, or where PyYAML lacks LibYAML; README lists the cases.
     """
+    import yaml
+
+    if not yaml.__with_libyaml__:
+        raise _HandOver
     loader = yaml.CSafeLoader(text)
     get_event = loader.get_event
     scalars = _Scalars()
@@ -253,7 +333,7 @@ def _yaml_from_events(text: str) -> Any:
                         raise _HandOver  # LibYAML may read it otherwise
                     if tag is None:
                         value = scalars[value]
-                elif event.style in "|>" and _BLOCK_HEADER_COMMENT.match(
+                elif event.style in "|>" and re.compile(_BLOCK_HEADER_COMMENT).match(
                         text, text.find(event.style, event.start_mark.index)):
                     raise _HandOver
                 if tag is not None:
@@ -311,22 +391,21 @@ _PLAIN = (f"(?:[^ \\-?:,\\[\\]{{}}#&*!|>'\"%@`{_NOT_TEXT}]|[-?:](?=[^ {_NOT_TEXT
 _QUOTED = (f"'[^'{_NOT_TEXT}]*(?:''[^'{_NOT_TEXT}]*)*'"
            f"|\"[^\"\\\\{_NOT_TEXT}]*(?:\\\\[^{_NOT_TEXT}][^\"\\\\{_NOT_TEXT}]*)*\"")
 _COMMENT = f"(?<![^ \\n])#[^{_NOT_TEXT}]*"  # after a space: "a#b" is one scalar
-# Compiled where first used, so that a run on JSON alone never compiles it.
+# Compiled where first used, as are the two patterns below, so that a run on
+# JSON alone never compiles them.
 _BLOCK_LINE = (
     "(?!(?:---|\\.\\.\\.)(?:[ \\r\\n]|\\Z))( *)((?:-(?: +|(?=\\r?\\n|\\Z)))*)"
     f"(?:((?:{_PLAIN}|{_QUOTED}) *):(?: +|(?=\\r?\\n|\\Z)))?({_PLAIN}|{_QUOTED}|\\{{}}|\\[])?"
     f" *(?:{_COMMENT})?\\r?(?:\\n|\\Z)|([^\\n]*\\n?)"
 )
 # Blank and comment lines, then "---" alone on its line, at the start of the text.
-_DOCUMENT_START = re.compile(
-    f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?:\\n|\\Z)")
+_DOCUMENT_START = f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?:\\n|\\Z)"
 # A block scalar, anchor, alias, tag, complex key or flow collection starts
 # with one of these where a node can: at a line's content, or after ":" or "-"
 # and spaces. Found there, it hands the text over before a line is read, so that
 # none is read twice; after other text, as in "a: x > y", it is plain text. Each
 # a substring test, then a literal-prefix search, far cheaper than a class search.
-_NODE_STARTS = tuple((char, re.compile(re.escape(char) + "(?<![^ \\n].)(?![\\]}])"))
-                     for char in "|>&*!?[{")
+_NODE_STARTS = tuple((char, re.escape(char) + "(?<![^ \\n].)(?![\\]}])") for char in "|>&*!?[{")
 
 
 def _yaml_from_lines(text: str) -> Any:
@@ -340,7 +419,7 @@ def _yaml_from_lines(text: str) -> Any:
     so it holds no lone surrogate, which that scanner rejects too.
     """
     for char, start in _NODE_STARTS:
-        for hit in start.finditer(text) if char in text else ():
+        for hit in re.compile(start).finditer(text) if char in text else ():
             at = hit.start() - 1
             while at >= 0 and text[at] == " ":  # back over the spaces before the hit
                 at -= 1
@@ -355,7 +434,7 @@ def _yaml_from_lines(text: str) -> Any:
     # key's column. The root is a column -1 node that holds the document.
     col, items, is_map, indentless = -1, [], False, False
     slot = True  # the open node awaits a value: the document, a key's or an entry's
-    start = _DOCUMENT_START.match(text)
+    start = re.compile(_DOCUMENT_START).match(text)
     for line in re.compile(_BLOCK_LINE).finditer(text, start.end() if start else 0):
         indent, dashes, key, value, other = line.groups()
         if other is not None:
@@ -415,8 +494,8 @@ def _yaml_from_lines(text: str) -> Any:
     return items[0]
 
 
-# The fast readers run where PyYAML has LibYAML; false leaves all text to _DupSafeLoader.
-_FAST_YAML = yaml.__with_libyaml__
+# False leaves all text to the pure-Python loader: the one seam tests use.
+_FAST_YAML = True
 
 
 def _load_yaml(text: str) -> Any:
@@ -435,7 +514,9 @@ def _load_yaml(text: str) -> Any:
                 continue
             except Exception:
                 break
-    return yaml.load(text, Loader=_DupSafeLoader)
+    import yaml
+
+    return yaml.load(text, Loader=_pure_loader())
 
 
 def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
@@ -469,6 +550,8 @@ def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
             ) from yaml_exc
         mark = getattr(yaml_exc, "problem_mark", None)
         position = f"line {mark.line + 1} column {mark.column + 1}" if mark else None
+        import yaml  # the pure-Python loader, which raised it, imported it
+
         if isinstance(yaml_exc, yaml.reader.ReaderError):  # str() gives the offset a 2nd line
             problem = str(yaml_exc).partition("\n")[0]
             position = f"character {yaml_exc.position + 1}"

@@ -29,6 +29,7 @@ from rest_lint.cli import (
     load_config,
     main,
 )
+from test_model import _perfbench_workloads
 
 CLEAN = CORPUS / "clean.yaml"
 CREATE_USER = CORPUS / "create_user.json"
@@ -339,7 +340,7 @@ class TestLintCommand:
 
     @pytest.mark.parametrize("fmt,golden", [("text", "lint.txt"), ("json", "lint.json")])
     def test_pure_python_yaml_output_matches_golden(self, fmt, golden, capsys, monkeypatch):
-        # What an install whose PyYAML lacks LibYAML runs.
+        # The pure-Python parser alone reads every YAML spec.
         monkeypatch.setattr(model, "_FAST_YAML", None)
         self.test_corpus_output_matches_golden(fmt, golden, capsys, monkeypatch)
 
@@ -645,6 +646,43 @@ class TestStartUp:
                               timeout=120, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr[-300:]
         assert proc.stdout == "[]\n"
+
+    def test_pyyaml_is_imported_only_for_text_the_line_reader_leaves(self, tmp_path):
+        # In-process tests import yaml themselves, so each run is a fresh interpreter.
+        # Its last stderr line says whether yaml was loaded after the import and after main.
+        code = ("import sys; import rest_lint.cli as cli; loaded = ['yaml' in sys.modules]; "
+                "status = cli.main(sys.argv[1:]); loaded.append('yaml' in sys.modules); "
+                "sys.stderr.write(f'\\n{loaded}'); sys.exit(status)")
+
+        def run(cwd: Path, *argv: str) -> tuple[int, str, str, str]:
+            """Exit status, stdout, stderr before the last line, and that line."""
+            proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                                  capture_output=True, text=True, timeout=120, env=cli_env())
+            return (proc.returncode, proc.stdout, *proc.stderr.rpartition("\n")[::2])
+
+        status, _, errors, loaded = run(CORPUS, "lint", "clean.yaml")
+        assert (status, errors, loaded) == (EXIT_CLEAN, "", "[False, False]")
+        specs = sorted(path.name for path in CORPUS.glob("*.yaml"))
+        assert len(specs) == 15
+        assert run(CORPUS, "lint", *specs)[2:] == ("", "[False, False]")
+        workloads = _perfbench_workloads()
+        for name in workloads.WORKLOADS:
+            inputs = workloads.generate(name, 7, tmp_path / name, scale=0.05)
+            assert run(inputs.directory, *inputs.argv)[3] == "[False, False]", name
+        # A block scalar is left to the event loop, which imports PyYAML; the spec
+        # still lints exactly like its JSON twin.
+        for twin, text in [
+            ("yaml", 'openapi: 3.0.0\npaths:\n  /Users_list/:\n    get:\n      responses:\n'
+                     '        "200":\n          description: OK\nx-note: |\n  a block scalar\n'),
+            ("json", json.dumps({"openapi": "3.0.0", "x-note": "a block scalar\n", "paths": {
+                "/Users_list/": {"get": {"responses": {"200": {"description": "OK"}}}}}})),
+        ]:
+            (tmp_path / twin).mkdir()
+            (tmp_path / twin / "spec").write_text(text, encoding="utf-8")
+        from_yaml = run(tmp_path / "yaml", "lint", "--format", "json", "spec")
+        from_json = run(tmp_path / "json", "lint", "--format", "json", "spec")
+        assert (from_yaml[3], from_json[3]) == ("[False, True]", "[False, False]")
+        assert from_yaml[:3] == from_json[:3] == (EXIT_VIOLATIONS, from_json[1], "")
 
 
 class TestGarbageCollection:

@@ -719,7 +719,10 @@ def _block_texts():
                      ).map(render)
 
 
+# The event loop needs LibYAML; the line reader and the pure-Python parser do not.
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks LibYAML")
+FAST_READERS = (model._yaml_from_lines,) + ((model._yaml_from_events,) if yaml.__with_libyaml__
+                                            else ())
 
 # Text that LibYAML reads and the pure-Python scanner rejects or reads otherwise.
 LIBYAML_DIVERGENCES = [
@@ -771,7 +774,6 @@ class TestYamlLoaders:
             load_spec(raw, "deep")
         assert str(exc.value) == "document nesting too deep"
 
-    @needs_libyaml
     def test_c_and_pure_python_loaders_agree_on_fixture_corpus(self, tmp_path):
         texts = {path.name: path.read_text(encoding="utf-8") for path in CORPUS.glob("*.yaml")}
         workloads = _perfbench_workloads()
@@ -781,21 +783,19 @@ class TestYamlLoaders:
             texts[str(path.relative_to(tmp_path))] = path.read_text(encoding="utf-8")
         assert len(texts) > len(list(CORPUS.glob("*.yaml")))
         for name, text in sorted(texts.items()):
-            pure = yaml.load(text, Loader=model._DupSafeLoader)
+            pure = yaml.load(text, Loader=model._pure_loader())
             # Each fast path on its own: a hand-over fails here, so none can go unseen.
-            for fast_path in (model._yaml_from_lines, model._yaml_from_events):
+            for fast_path in FAST_READERS:
                 fast = fast_path(text)
                 assert repr(fast) == repr(pure), (fast_path.__name__, name)
                 assert _duplicate_keys(fast) == _duplicate_keys(pure), (fast_path.__name__, name)
 
-    @needs_libyaml
     def test_parse_matches_pure_python_parse(self, monkeypatch):
         samples = _fuzzed_inputs(1000) + LIBYAML_DIVERGENCES
-        with_libyaml = [_parsed(data) for data in samples]
+        fast = [_parsed(data) for data in samples]
         monkeypatch.setattr(model, "_FAST_YAML", None)
-        assert [_parsed(data) for data in samples] == with_libyaml
+        assert [_parsed(data) for data in samples] == fast
 
-    @needs_libyaml
     @pytest.mark.parametrize("raw, expected", [
         (b"&x [*x]\n", ("document", "[[...]]", [])),
         (b"[&x [*x]]\n", ("document", "[[[...]]]", [])),
@@ -828,7 +828,6 @@ class TestYamlLoaders:
             patch.setattr(model, "_FAST_YAML", None)
             assert _parsed(data) == fast
 
-    @needs_libyaml
     @settings(max_examples=400, deadline=None)
     @given(_block_texts())
     def test_line_reader_matches_pure_python_parse(self, text):
@@ -837,7 +836,7 @@ class TestYamlLoaders:
         except Exception:  # a hand-over, or an error the pure-Python parser reports
             pass
         else:
-            pure = yaml.load(text, Loader=model._DupSafeLoader)
+            pure = yaml.load(text, Loader=model._pure_loader())
             assert repr(read) == repr(pure)
             assert _duplicate_keys(read) == _duplicate_keys(pure)
         data = text.encode("utf-8")
@@ -846,7 +845,6 @@ class TestYamlLoaders:
             patch.setattr(model, "_FAST_YAML", None)
             assert _parsed(data) == fast
 
-    @needs_libyaml
     @pytest.mark.parametrize("raw, taken, expected", [
         (b"a: -foo\n", True, ("document", "{'a': '-foo'}", [[]])),
         (b"- -1\n", True, ("document", "[-1]", [])),
@@ -910,21 +908,64 @@ class TestYamlLoaders:
         with pytest.raises(model._HandOver):
             model._yaml_from_lines("a: 1\n" * 1000 + last)
 
-    @needs_libyaml
     @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n"], ids=["map", "seq"])
     def test_equal_empty_containers_are_distinct(self, text):
-        pure = yaml.load(text, Loader=model._DupSafeLoader)
-        for doc in (model._yaml_from_lines(text), model._yaml_from_events(text), pure):
+        pure = yaml.load(text, Loader=model._pure_loader())
+        for doc in [read(text) for read in FAST_READERS] + [pure]:
             assert doc["a"] == doc["b"] and doc["a"] is not doc["b"]
 
     def test_scalar_table_makes_each_value_once(self):
         table = model._Scalars()
         expected = {"yes": True, "'yes'": "yes", '"\\u00e9"': "\u00e9", "''": "", "": None,
-                    "<<": model._MERGE, "2001-12-14": datetime.date(2001, 12, 14), "1.5": 1.5}
+                    "<<": model._MERGE, "2001-12-14": datetime.date(2001, 12, 14), "1.5": 1.5,
+                    "3.0.0": "3.0.0", "1.0.0": "1.0.0", "-foo": "-foo", ".5": 0.5, "0o12": "0o12"}
         for token, value in expected.items():
             assert type(table[token]) is type(value) and table[token] == value, token
         assert table["1.5"] is table["1.5"] and table["2001-12-14"] is table["2001-12-14"]
+        with pytest.raises(KeyError):  # a tag SafeLoader does not construct
+            table["="]
         assert list(table) == list(expected)
+
+    def test_resolver_table_is_safeloaders(self):
+        def shape(table: dict) -> list:
+            return [(first, [(tag, pattern.pattern, pattern.flags) for tag, pattern in resolvers])
+                    for first, resolvers in table.items()]
+
+        table = model._implicit_resolvers()
+        assert shape(table) == shape(yaml.SafeLoader.yaml_implicit_resolvers)
+        assert {"!", "&", "*", ""} <= set(table)
+
+    @pytest.mark.parametrize("word", [
+        *"yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF".split(),
+        "~", "null", "Null", "NULL", "", "<<",
+        "yEs", "nULL", "onn", "~~", "<<<",  # near misses, which are strings
+    ])
+    def test_plain_words_build_safeloaders_values(self, word):
+        loader = yaml.SafeLoader("")
+        tag = loader.resolve(yaml.ScalarNode, word, (True, False))
+        assert (tag == "tag:yaml.org,2002:merge") == (word == "<<")
+        value = model._Scalars()[word]
+        if word == "<<":
+            assert value is model._MERGE  # a merge key once its mapping is built
+        else:
+            expected = loader.construct_object(yaml.ScalarNode(tag, word))
+            assert type(value) is type(expected) and value == expected
+
+    def test_line_reader_runs_without_libyaml(self, monkeypatch):
+        monkeypatch.setattr(yaml, "__with_libyaml__", False)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        with pytest.raises(model._HandOver):
+            model._yaml_from_events("a: 1\n")
+        calls = []
+        for name in ("_yaml_from_lines", "_yaml_from_events"):
+            monkeypatch.setattr(model, name, lambda text, name=name, read=getattr(model, name):
+                                calls.append(name) or read(text))
+        assert model._parse_document(b"a:\n  - b: 1\nc: d # note\n") == {"a": [{"b": 1}], "c": "d"}
+        assert calls == ["_yaml_from_lines"]
+        # What the line reader hands over, the event loop hands to the pure-Python parser.
+        calls.clear()
+        assert model._parse_document(b"a: |\n  x\n") == {"a": "x\n"}
+        assert calls == ["_yaml_from_lines", "_yaml_from_events"]
 
     def test_pure_python_runs_use_neither_fast_path(self, monkeypatch):
         def refuse(text):
