@@ -15,7 +15,9 @@ immutable after load and safe to share across checkers.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import re
 import types
 from collections.abc import Iterable, Mapping
@@ -254,15 +256,48 @@ def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
     return table
 
 
+_NUMBERS = {"tag:yaml.org,2002:int": int, "tag:yaml.org,2002:float": float}
+
+
+def _number(token: str, kind: type) -> Any:
+    """An int or float token's value, built as SafeConstructor's construct_yaml_int
+    and construct_yaml_float build it: underscores dropped, a sign, 0b, 0x and
+    leading-0 octal ints, base 60 ("1:30"), .inf and .nan."""
+    value = token.replace("_", "")
+    if kind is float:
+        value = value.lower()
+    sign = -1 if value[0] == "-" else 1
+    if value[0] in "+-":
+        value = value[1:]
+    if value == ".inf":
+        return sign * math.inf
+    if value == ".nan":
+        return math.nan
+    if kind is int and value[0] == "0" and value != "0":
+        if value[1] in "bx":
+            return sign * int(value[2:], 2 if value[1] == "b" else 16)
+        return sign * int(value, 8)
+    if ":" not in value:
+        return sign * kind(value)
+    total, base = kind(0), 1
+    for part in reversed(value.split(":")):
+        total += kind(part) * base
+        base *= 60
+    return sign * total
+
+
 def _plain(token: str) -> Any:
     """A plain scalar's value, resolved as SafeLoader resolves it. A string, bool,
-    null or "<<" is built here; any other tag needs PyYAML's constructors."""
+    null, int, float or "<<" is built here; a timestamp or "=" needs PyYAML's
+    constructors."""
     for tag, pattern in _implicit_resolvers().get(token[:1], ()):
         if pattern.match(token):
             if tag == "tag:yaml.org,2002:bool":
                 return token.lower() in ("yes", "true", "on")
             if tag == "tag:yaml.org,2002:null":
                 return None
+            if tag in _NUMBERS:
+                return _number(token, _NUMBERS[tag])
             return _scalar(tag, token)
     return token
 
@@ -377,12 +412,13 @@ def _yaml_from_events(text: str) -> Any:
         loader.dispose()
 
 
-# Block-style YAML, one line a match: indentation, "- " entries, a "key:" and a
-# one-line plain or quoted scalar, {} or [], then a comment. The last group
-# takes any other line, such as "---", a multi-line scalar or a character the
-# pure-Python reader rejects, and hands the text over. Its classes exclude
-# only Latin-1 characters: one with a wider character costs ~0.5 ms to
-# compile, so the wider ones are looked for in the whole text instead.
+# Block-style YAML, one line without its "\n" a full match: indentation, "- "
+# entries, a "key:" and a one-line plain or quoted scalar, {} or [], then a
+# comment and the "\r" of a "\r\n". The last group takes any other line, such
+# as "---", a multi-line scalar or a character the pure-Python reader rejects,
+# and hands the text over. Its classes exclude only Latin-1 characters: one
+# with a wider character costs ~0.5 ms to compile, so the wider ones are looked
+# for in the whole text instead.
 _NOT_TEXT = "\\x00-\\x1f\\x7f-\\x9f"
 _WIDE_NOT_TEXT = "\u2028\u2029\ufeff\ufffe\uffff"  # line breaks, or rejected
 _PLAIN_REST = f"[^ :{_NOT_TEXT}]*(?::(?=[^ {_NOT_TEXT}])[^ :{_NOT_TEXT}]*)*"  # ": " ends it
@@ -394,9 +430,9 @@ _COMMENT = f"(?<![^ \\n])#[^{_NOT_TEXT}]*"  # after a space: "a#b" is one scalar
 # Compiled where first used, as are the two patterns below, so that a run on
 # JSON alone never compiles them.
 _BLOCK_LINE = (
-    "(?!(?:---|\\.\\.\\.)(?:[ \\r\\n]|\\Z))( *)((?:-(?: +|(?=\\r?\\n|\\Z)))*)"
-    f"(?:((?:{_PLAIN}|{_QUOTED}) *):(?: +|(?=\\r?\\n|\\Z)))?({_PLAIN}|{_QUOTED}|\\{{}}|\\[])?"
-    f" *(?:{_COMMENT})?\\r?(?:\\n|\\Z)|([^\\n]*\\n?)"
+    "(?!(?:---|\\.\\.\\.)(?:[ \\r]|\\Z))( *)((?:-(?: +|(?=\\r?\\Z)))*)"
+    f"(?:((?:{_PLAIN}|{_QUOTED}) *):(?: +|(?=\\r?\\Z)))?({_PLAIN}|{_QUOTED}|\\{{}}|\\[])?"
+    f" *(?:{_COMMENT})?\\r?|(.*)"
 )
 # Blank and comment lines, then "---" alone on its line, at the start of the text.
 _DOCUMENT_START = f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?:\\n|\\Z)"
@@ -408,8 +444,29 @@ _DOCUMENT_START = f"(?: *(?:{_COMMENT})?\\r?\\n)*---(?: +(?:{_COMMENT})?)?\\r?(?
 _NODE_STARTS = tuple((char, re.escape(char) + "(?<![^ \\n].)(?![\\]}])") for char in "|>&*!?[{")
 
 
+# The line reader splits the text this many characters at a time, so that no
+# list holds every line; and keeps the match of at most this many distinct line
+# texts a document, the size of uri._segment's cache.
+_LINE_SLICE = 1 << 16
+_LINE_MEMO = 4096
+
+
+def _lines(text: str, pos: int) -> Iterable[str]:
+    """text[pos:].split("\n"), split a slice of about _LINE_SLICE characters at a time."""
+
+    def slices() -> Iterable[list[str]]:
+        start = pos
+        while (end := text.find("\n", start + _LINE_SLICE)) >= 0:
+            yield text[start:end].split("\n")
+            start = end + 1
+        yield text[start:].split("\n")
+
+    return itertools.chain.from_iterable(slices())
+
+
 def _yaml_from_lines(text: str) -> Any:
-    """Build a block-style document in one regex match a line, with no recursion.
+    """Build a block-style document line by line, with no recursion: each distinct
+    line text is matched once, up to _LINE_MEMO of them.
 
     Takes block mappings and sequences of one-line plain and quoted scalars,
     {} and [], and comments, and raises _HandOver at anything else. Scalars
@@ -435,8 +492,15 @@ def _yaml_from_lines(text: str) -> Any:
     col, items, is_map, indentless = -1, [], False, False
     slot = True  # the open node awaits a value: the document, a key's or an entry's
     start = re.compile(_DOCUMENT_START).match(text)
-    for line in re.compile(_BLOCK_LINE).finditer(text, start.end() if start else 0):
-        indent, dashes, key, value, other = line.groups()
+    match = re.compile(_BLOCK_LINE).fullmatch
+    memo: dict[str, tuple[Any, ...]] = {}  # a line's text -> its match groups, never a node
+    for line in _lines(text, start.end() if start else 0):
+        groups = memo.get(line)
+        if groups is None:
+            groups = match(line).groups()
+            if len(memo) < _LINE_MEMO:
+                memo[line] = groups
+        indent, dashes, key, value, other = groups
         if other is not None:
             raise _HandOver
         if key is None and value is None and not dashes:

@@ -6,8 +6,13 @@ import datetime
 import importlib.util
 import io
 import json
+import math
+import os
+import re
+import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -862,6 +867,8 @@ class TestYamlLoaders:
          ("error", "invalid YAML: mapping values are not allowed here (line 1 column 1026)",
           "line 1 column 1026")),
         (b"a:\n- b\nc: d\n", True, ("document", "{'a': ['b'], 'c': 'd'}", [[]])),
+        (b"a:\r\n- b # c\r\n-\r\nd: ''\r\n", True,
+         ("document", "{'a': ['b', None], 'd': ''}", [[]])),
         (b"a: 1\n--- b: 2\n", False, ("error", "invalid YAML: but found another document "
                                                "(line 2 column 1)", "line 2 column 1")),
         (b"a: b\x7f\n", False, ("error", "invalid YAML: unacceptable character #x007f: special "
@@ -884,12 +891,26 @@ class TestYamlLoaders:
         (b"k:\n  &a b: c\n", False, ("document", "{'k': {'b': 'c'}}", [[], []])),
         (b"a:   |\n  x\n", False, ("document", "{'a': 'x\\n'}", [[]])),
         (b"a: b\n  > c\n", False, ("document", "{'a': 'b > c'}", [[]])),
+        # One line text in two roles, matched once: "  a: 1" opens a mapping, then
+        # follows a sibling; "  - x" is an entry at its key's column, then nested;
+        # "  b: 1" is aligned, then misaligned; "- a: {}" gives a new {} each time.
+        (b"x:\n  a: 1\ny:\n  b: 2\n  a: 1\n", True,
+         ("document", "{'x': {'a': 1}, 'y': {'b': 2, 'a': 1}}", [[], [], []])),
+        (b"a:\n  k:\n  - x\nj:\n  - x\n", True,
+         ("document", "{'a': {'k': ['x']}, 'j': ['x']}", [[], []])),
+        (b"a:\n  b: 1\nc:\n   d: 2\n  b: 1\n", False,
+         ("error", "invalid YAML: expected <block end>, but found '<block mapping start>' "
+                   "(line 5 column 3)", "line 5 column 3")),
+        (b"- a: {}\n- a: {}\n", True, ("document", "[{'a': {}}, {'a': {}}]", [[], [], [], []])),
     ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
+            "crlf-line-ends",
             "second-document", "delete-character", "next-line-break", "line-separator",
             "prose-brace", "prose-folded", "prose-question", "prose-ampersand", "prose-bracket",
-            "anchored-entry", "anchored-key", "spaced-block-scalar", "continued-at-indicator"])
+            "anchored-entry", "anchored-key", "spaced-block-scalar", "continued-at-indicator",
+            "repeated-first-key", "repeated-entry", "repeated-then-misaligned",
+            "repeated-empty-map"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
@@ -908,11 +929,55 @@ class TestYamlLoaders:
         with pytest.raises(model._HandOver):
             model._yaml_from_lines("a: 1\n" * 1000 + last)
 
-    @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n"], ids=["map", "seq"])
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(st.sampled_from("ab \r\n"), max_size=40).flatmap(
+        lambda text: st.tuples(st.just(text), st.integers(0, len(text)), st.integers(0, 6))))
+    def test_line_walk_splits_like_str_split(self, drawn):
+        # Slices of a few characters end inside lines, between "\r" and "\n",
+        # and at the text's end, with and without a last "\n".
+        text, pos, size = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_LINE_SLICE", size)
+            assert list(model._lines(text, pos)) == text[pos:].split("\n")
+
+    def test_line_reader_matches_each_distinct_line_once(self, monkeypatch):
+        distinct = [f"- v{i}\n" for i in range(5_000)]
+        text = "- x\n" * 10_000 + "".join(distinct)
+        pure = yaml.load(text, Loader=model._pure_loader())
+        matched = []
+
+        def compile(pattern, flags=0):
+            compiled = re.compile(pattern, flags)
+            if pattern != model._BLOCK_LINE:
+                return compiled
+            return types.SimpleNamespace(
+                fullmatch=lambda line: matched.append(line) or compiled.fullmatch(line))
+
+        monkeypatch.setattr(model, "re", types.SimpleNamespace(compile=compile))
+        assert repr(model._yaml_from_lines(text)) == repr(pure)
+        # "- x", the 5,000 distinct lines and the empty one after the last "\n".
+        assert len(matched) == len(set(matched)) == 5_002
+        # The memo keeps the first _LINE_MEMO distinct lines: a line first met
+        # after them is matched each time it comes.
+        for before, times in [(model._LINE_MEMO - 1, 1), (model._LINE_MEMO, 100)]:
+            matched.clear()
+            model._yaml_from_lines("".join(distinct[:before]) + "- x\n" * 100)
+            assert matched.count("- x") == times
+
+    @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n", "- a: {}\n- a: {}\n",
+                                      "- []\n- []\n"],
+                             ids=["map", "seq", "repeated-map-line", "repeated-seq-line"])
     def test_equal_empty_containers_are_distinct(self, text):
+        def empties(node) -> list:
+            children = node.values() if isinstance(node, dict) else node
+            return [node] if not node else [empty for child in children
+                                            if isinstance(child, (dict, list))
+                                            for empty in empties(child)]
+
         pure = yaml.load(text, Loader=model._pure_loader())
         for doc in [read(text) for read in FAST_READERS] + [pure]:
-            assert doc["a"] == doc["b"] and doc["a"] is not doc["b"]
+            first, second = empties(doc)
+            assert first == second and first is not second
 
     def test_scalar_table_makes_each_value_once(self):
         table = model._Scalars()
@@ -950,6 +1015,37 @@ class TestYamlLoaders:
         else:
             expected = loader.construct_object(yaml.ScalarNode(tag, word))
             assert type(value) is type(expected) and value == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        [st.from_regex(re.compile(pattern, flags), fullmatch=True)
+         for tag, pattern, flags, _ in model._IMPLICIT_RESOLVERS if tag in model._NUMBERS]
+        # Around Python's limit of 4,300 digits for a decimal int, which raises.
+        + [st.tuples(st.sampled_from(["", "-", "+1_"]), st.integers(4_298, 4_302),
+                     st.sampled_from(["", ":30", ".5"])).map(lambda p: p[0] + "7" * p[1] + p[2])]))
+    def test_numbers_build_safeloaders_values(self, token):
+        def outcome(build) -> tuple:
+            try:
+                value = build()
+            except Exception as exc:
+                return ("raises", type(exc))
+            return (type(value), "nan" if isinstance(value, float) and math.isnan(value) else value)
+
+        loader = yaml.SafeLoader("")
+        tag = loader.resolve(yaml.ScalarNode, token, (True, False))
+        expected = outcome(lambda: loader.construct_object(yaml.ScalarNode(tag, token)))
+        assert outcome(lambda: model._Scalars()[token]) == expected
+
+    def test_numbers_need_no_pyyaml(self):
+        # In-process tests import yaml themselves, so the parse runs in a fresh interpreter.
+        code = ("import sys; from rest_lint import model; "
+                "print(model._parse_document(b'x-min: 0\\nratio: 1.5\\n'), 'yaml' in sys.modules)")
+        src = str(Path(model.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout) == (0, "{'x-min': 0, 'ratio': 1.5} False\n"), \
+            proc.stderr[-300:]
 
     def test_line_reader_runs_without_libyaml(self, monkeypatch):
         monkeypatch.setattr(yaml, "__with_libyaml__", False)
