@@ -55,7 +55,7 @@ def load_config(path: str | Path | None = None) -> LintConfig:
     if path is None:
         return LintConfig()
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep

@@ -65,7 +65,7 @@ def crud_method_of(word: str, lexicon: WordLexicon) -> str | None:
 def load_lexicon(path: str | Path) -> WordLexicon:
     """Load word lists from a data file (see data/lexicon.txt for the format)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise LexiconError(str(exc)) from exc
     return parse_lexicon(text, source=str(path))

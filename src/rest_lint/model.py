@@ -244,6 +244,14 @@ _IMPLICIT_RESOLVERS = (
     ("tag:yaml.org,2002:yaml", r'^(?:!|&|\*)$', 0, list('!&*')),
 )
 
+# yaml/scanner.py's Scanner.ESCAPE_REPLACEMENTS, which decodes a double-quoted
+# scalar's one-character escapes, copied verbatim. A test pins it to the scanner's.
+_ESCAPE_REPLACEMENTS = {
+    "0": "\0", "a": "\x07", "b": "\x08", "t": "\x09", "\t": "\x09", "n": "\x0A",
+    "v": "\x0B", "f": "\x0C", "r": "\x0D", "e": "\x1B", " ": "\x20", '"': '"',
+    "\\": "\\", "/": "/", "N": "\x85", "_": "\xA0", "L": "\u2028", "P": "\u2029",
+}
+
 
 @functools.cache
 def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
@@ -307,13 +315,11 @@ _ESCAPE = r"\\(?:x([0-9A-Fa-f]{2})|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))"
 
 
 def _unescape(match: re.Match[str]) -> str:
-    """A double-quoted escape, from the pure-Python scanner's own tables."""
+    """A double-quoted escape, decoded as the pure-Python scanner decodes it."""
     code = match.group(1) or match.group(2) or match.group(3)
     if code:
         return chr(int(code, 16))
-    import yaml
-
-    return yaml.scanner.Scanner.ESCAPE_REPLACEMENTS[match.group(4)]
+    return _ESCAPE_REPLACEMENTS[match.group(4)]
 
 
 class _Scalars(dict):

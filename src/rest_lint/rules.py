@@ -23,8 +23,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 from .model import ApiSpecification, OperationRecord
 from .uri import (
-    BOUNDARY_CASE,
-    BOUNDARY_UNDERSCORE,
     Archetype,
     PathTemplate,
     SegmentKind,
@@ -77,7 +75,6 @@ _METHOD_CLASS = {"GET": "read", "POST": "create", "PUT": "update", "PATCH": "upd
 
 _TUNNEL_QUERY_PARAMS = ("method", "_method", "action")
 _HIERARCHY_SEPARATOR = re.compile(r"\w[.:;]\w")
-_MULTIWORD = frozenset({BOUNDARY_CASE, BOUNDARY_UNDERSCORE})  # boundaries Hyphens flags
 _LEADING_WORD = re.compile(r"[A-Za-z]+")
 # Members the checkers compare against, bound once (see the note in uri.py).
 _LITERAL, _PARAMETER = SegmentKind.LITERAL, SegmentKind.PARAMETER
@@ -287,11 +284,7 @@ def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions
     """
     for path, template in templates.items():
         for seg in template.segments:
-            if (
-                seg.kind is _LITERAL
-                and len(seg.words) >= 2
-                and not seg.boundary_kinds.isdisjoint(_MULTIWORD)
-            ):
+            if seg.kind is _LITERAL and seg.camel_or_snake:
                 yield (path, None, None, seg.raw,
                        f"multiword segment '{seg.raw}' should use hyphens")
 

@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import re
 from typing import Mapping, NamedTuple
 
 from .lexicon import WordLexicon, is_plural, is_verb
-
-# Boundary kinds reported by split_words.
-BOUNDARY_HYPHEN = "hyphen"
-BOUNDARY_UNDERSCORE = "underscore"
-BOUNDARY_CASE = "case"
-BOUNDARY_DIGIT = "digit"
-
-_SEPARATOR_KINDS = {"-": BOUNDARY_HYPHEN, "_": BOUNDARY_UNDERSCORE}
 
 # An ASCII word. Adjacent words meet at a case boundary, or at a digit
 # boundary where one of them is digits.
@@ -57,15 +50,15 @@ class Segment(NamedTuple):
     """One path segment with its word tokens: what its text alone decides.
 
     ``raw`` keeps braces for parameters ("{userId}"); ``name`` is the
-    text without braces. ``boundary_kinds`` records which word-boundary
-    kinds split_words observed inside the segment.
+    text without braces. ``camel_or_snake`` is true when two of its words
+    meet at a lowercase-to-uppercase change or across an underscore.
     """
 
     kind: SegmentKind
     raw: str
     name: str
     words: tuple[str, ...]
-    boundary_kinds: frozenset[str]
+    camel_or_snake: bool
 
 
 class PathTemplate(NamedTuple):
@@ -81,81 +74,56 @@ class PathTemplate(NamedTuple):
     archetypes: tuple[Archetype, ...] = ()
 
 
-def split_words(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
-    """Split a segment into lowercase word tokens plus observed boundary kinds.
+def split_words(text: str) -> tuple[tuple[str, ...], bool]:
+    """Split a segment into lowercase word tokens; say if it is camel- or snake-cased.
 
-    Boundaries occur at hyphens, underscores, lowercase-to-uppercase
-    transitions, and letter/digit transitions. Other non-alphanumeric
-    characters also end a token but contribute no boundary kind. A
-    separator only counts as a boundary when it sits between two tokens.
-    ASCII text is split by one regex; other text one character at a time.
+    Words are the alphanumeric runs, split again where lowercase meets
+    uppercase and where a letter meets a digit. The flag is true when two
+    words meet at a lowercase-to-uppercase change or with an underscore in
+    the gap between them. ASCII text is split by one regex; other text one
+    alphanumeric run at a time.
     """
     if not text.isascii():
-        return _split_words_by_char(text)
+        return _split_words_by_run(text)
     pairs = _GAP_AND_WORD.findall(text)
-    kinds = set()
+    camel_or_snake = False
     for (_, before), (gap, word) in zip(pairs, pairs[1:]):
-        if gap:
-            if "-" in gap:
-                kinds.add(BOUNDARY_HYPHEN)
-            if "_" in gap:
-                kinds.add(BOUNDARY_UNDERSCORE)
-        elif word[0] <= "9" or before[0] <= "9":
-            kinds.add(BOUNDARY_DIGIT)
-        else:
-            kinds.add(BOUNDARY_CASE)
-    return tuple([word.lower() for _, word in pairs]), frozenset(kinds)
+        # With no gap, words meet at a case change unless one is digits.
+        if ("_" in gap) if gap else ("9" < before[0] and "9" < word[0]):
+            camel_or_snake = True
+            break
+    return tuple([word.lower() for _, word in pairs]), camel_or_snake
 
 
 def word_tokens(text: str) -> list[str]:
-    """split_words(text)[0] as a list, without finding the boundary kinds."""
+    """split_words(text)[0] as a list, without finding the flag."""
     if not text.isascii():
         return list(split_words(text)[0])
     return list(map(str.lower, _WORDS.findall(text)))
 
 
-def _split_words_by_char(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
-    """split_words for any text, one character at a time."""
+def _split_words_by_run(text: str) -> tuple[tuple[str, ...], bool]:
+    """split_words for any text, one alphanumeric run at a time."""
     words: list[str] = []
-    kinds: set[str] = set()
-    pending: set[str] = set()
-    had_separator = False
-    current = ""
-
-    for ch in text:
-        if ch.isalnum():
-            if current:
-                boundary = _transition_kind(current[-1], ch)
-                if boundary is not None:
-                    words.append(current.lower())
-                    kinds.add(boundary)
-                    current = ch
-                else:
-                    current += ch
-            else:
-                if words and had_separator:
-                    kinds.update(pending)
-                pending.clear()
-                had_separator = False
-                current = ch
-        else:
-            if current:
-                words.append(current.lower())
-                current = ""
-            had_separator = True
-            if ch in _SEPARATOR_KINDS:
-                pending.add(_SEPARATOR_KINDS[ch])
-    if current:
-        words.append(current.lower())
-    return tuple(words), frozenset(kinds)
-
-
-def _transition_kind(prev: str, cur: str) -> str | None:
-    if prev.islower() and cur.isupper():
-        return BOUNDARY_CASE
-    if (prev.isalpha() and cur.isdigit()) or (prev.isdigit() and cur.isalpha()):
-        return BOUNDARY_DIGIT
-    return None
+    camel_or_snake = False
+    gap = ""
+    for alnum, chars in itertools.groupby(text, str.isalnum):
+        run = "".join(chars)
+        if not alnum:
+            gap = run
+            continue
+        if words and "_" in gap:
+            camel_or_snake = True
+        start = 0
+        for i, (prev, ch) in enumerate(zip(run, run[1:]), 1):
+            if prev.islower() and ch.isupper():
+                camel_or_snake = True
+            elif not (prev.isalpha() and ch.isdigit() or prev.isdigit() and ch.isalpha()):
+                continue
+            words.append(run[start:i].lower())
+            start = i
+        words.append(run[start:].lower())
+    return tuple(words), camel_or_snake
 
 
 @functools.lru_cache(maxsize=4096)

@@ -107,6 +107,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        doc = {"enabled_rules": ["Hyphens"], "output_format": "json"}
+        path = tmp_path / "bom.json"
+        path.write_text(json.dumps(doc), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(path)) == load_config(write_config(tmp_path, doc))
+
     def test_missing_file_is_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "absent.json"))

@@ -144,6 +144,14 @@ class TestDataFile:
         copy.write_text(text, encoding="utf-8")
         assert load_lexicon(copy) == default_lexicon()
 
+    def test_file_with_a_byte_order_mark_matches_default(self, tmp_path):
+        from importlib import resources
+
+        text = resources.files("rest_lint").joinpath("data/lexicon.txt").read_text("utf-8")
+        copy = tmp_path / "lexicon.txt"
+        copy.write_text(text, encoding="utf-8-sig")
+        assert load_lexicon(copy) == default_lexicon()
+
     def test_loading_is_order_independent(self):
         base = (
             "[irregular]\npeople person\nchildren child\n"

@@ -1000,6 +1000,9 @@ class TestYamlLoaders:
         assert shape(table) == shape(yaml.SafeLoader.yaml_implicit_resolvers)
         assert {"!", "&", "*", ""} <= set(table)
 
+    def test_escape_table_is_the_scanners(self):
+        assert model._ESCAPE_REPLACEMENTS == yaml.scanner.Scanner.ESCAPE_REPLACEMENTS
+
     @pytest.mark.parametrize("word", [
         *"yes Yes YES no No NO true True TRUE false False FALSE on On ON off Off OFF".split(),
         "~", "null", "Null", "NULL", "", "<<",
@@ -1039,13 +1042,14 @@ class TestYamlLoaders:
     def test_numbers_need_no_pyyaml(self):
         # In-process tests import yaml themselves, so the parse runs in a fresh interpreter.
         code = ("import sys; from rest_lint import model; "
-                "print(model._parse_document(b'x-min: 0\\nratio: 1.5\\n'), 'yaml' in sys.modules)")
+                "print(model._parse_document(b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'), "
+                "'yaml' in sys.modules)")
         src = str(Path(model.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": path})
-        assert (proc.returncode, proc.stdout) == (0, "{'x-min': 0, 'ratio': 1.5} False\n"), \
-            proc.stderr[-300:]
+        expected = "{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb'} False\n"
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr[-300:]
 
     def test_line_reader_runs_without_libyaml(self, monkeypatch):
         monkeypatch.setattr(yaml, "__with_libyaml__", False)

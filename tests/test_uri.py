@@ -1,8 +1,9 @@
 """Tokenizer and archetype classifier tests.
 
 The word splitter is checked against a brute-force reference over every
-two-character boundary pair; archetypes are checked against the
-hand-labeled corpus in fixtures/archetypes.json.
+two-character boundary pair, and on longer text against a character
+loop; archetypes are checked against the hand-labeled corpus in
+fixtures/archetypes.json.
 """
 
 from __future__ import annotations
@@ -47,81 +48,114 @@ def archetypes_of(template) -> list[Archetype]:
     return list(template.archetypes)
 
 
+def split_by_character(text: str) -> tuple[tuple[str, ...], bool]:
+    """A brute-force split_words: one character at a time, splitting by the
+    pair rule of test_all_two_char_boundary_pairs."""
+    words: list[str] = []
+    camel_or_snake = False
+    word = gap = ""
+    for ch in text:
+        if not ch.isalnum():
+            if word:
+                words.append(word.lower())
+                word = gap = ""
+            gap += ch
+            continue
+        if word:
+            prev = word[-1]
+            camel = prev.islower() and ch.isupper()
+            if camel or (prev.isalpha() and ch.isdigit()) or (prev.isdigit() and ch.isalpha()):
+                words.append(word.lower())
+                word = ""
+            camel_or_snake = camel_or_snake or camel
+        elif words and "_" in gap:
+            camel_or_snake = True
+        word += ch
+    if word:
+        words.append(word.lower())
+    return tuple(words), camel_or_snake
+
+
 class TestSplitWords:
     def test_camel_case(self):
-        assert split_words("userProfiles") == (("user", "profiles"), frozenset({"case"}))
+        assert split_words("userProfiles") == (("user", "profiles"), True)
 
     def test_hyphenated(self):
-        assert split_words("order-items") == (("order", "items"), frozenset({"hyphen"}))
+        assert split_words("order-items") == (("order", "items"), False)
 
     def test_version_token(self):
-        assert split_words("v2") == (("v", "2"), frozenset({"digit"}))
+        assert split_words("v2") == (("v", "2"), False)
 
     def test_underscore(self):
-        assert split_words("user_id") == (("user", "id"), frozenset({"underscore"}))
+        assert split_words("user_id") == (("user", "id"), True)
 
     def test_tokens_are_lowercase_and_ordered(self):
-        words, kinds = split_words("getUserByID2")
+        words, camel_or_snake = split_words("getUserByID2")
         assert words == ("get", "user", "by", "id", "2")
-        assert kinds == frozenset({"case", "digit"})
+        assert camel_or_snake
 
     def test_consecutive_uppercase_is_one_token(self):
         assert split_words("HTML")[0] == ("html",)
 
     def test_edge_separators_have_no_boundary(self):
         # A separator only counts when it sits between two tokens.
-        assert split_words("-users") == (("users",), frozenset())
-        assert split_words("users_") == (("users",), frozenset())
+        assert split_words("-users") == (("users",), False)
+        assert split_words("_users") == (("users",), False)
+        assert split_words("users_") == (("users",), False)
 
     def test_unkinded_separator_splits_without_kind(self):
-        assert split_words("users.orders") == (("users", "orders"), frozenset())
+        assert split_words("users.orders") == (("users", "orders"), False)
 
     def test_empty(self):
-        assert split_words("") == ((), frozenset())
+        assert split_words("") == ((), False)
 
     def test_all_two_char_boundary_pairs(self):
         """Brute-force reference over every 2-char combination."""
-        alphabet = "azAZ09-_."
+        # Titlecase ǅ is neither upper- nor lowercase; Ⅻ is alphanumeric but
+        # neither a letter nor a digit.
+        alphabet = "azAZ09-_.éÉ²ǅⅫ٣"
 
-        def reference(c1: str, c2: str) -> list[str]:
+        def reference(c1: str, c2: str) -> tuple[list[str], bool]:
             # Tokens are maximal alphanumeric runs, additionally split at
-            # lower->upper and letter<->digit transitions.
+            # lower->upper and letter<->digit transitions. Only lower->upper
+            # sets the flag: two characters hold no gap between two words.
             if not c1.isalnum() or not c2.isalnum():
-                return [c.lower() for c in (c1, c2) if c.isalnum()]
+                return [c.lower() for c in (c1, c2) if c.isalnum()], False
+            camel = c1.islower() and c2.isupper()
             boundary = (
-                (c1.islower() and c2.isupper())
+                camel
                 or (c1.isalpha() and c2.isdigit())
                 or (c1.isdigit() and c2.isalpha())
             )
-            return [c1.lower(), c2.lower()] if boundary else [(c1 + c2).lower()]
+            return ([c1.lower(), c2.lower()] if boundary else [(c1 + c2).lower()]), camel
 
         for c1 in alphabet:
             for c2 in alphabet:
-                words, _ = split_words(c1 + c2)
-                assert list(words) == reference(c1, c2), (c1, c2)
+                words, camel_or_snake = split_words(c1 + c2)
+                assert (list(words), camel_or_snake) == reference(c1, c2), (c1, c2)
 
     # Separators are drawn as often as letters and digits, so gaps of several hold them.
     @given(st.text(st.sampled_from(string.ascii_letters + string.digits)
                    | st.sampled_from("-_.~{}"), max_size=24))
     def test_ascii_regex_agrees_with_character_loop(self, text):
-        assert split_words(text) == uri._split_words_by_char(text)
+        assert split_words(text) == uri._split_words_by_run(text) == split_by_character(text)
 
     @pytest.mark.parametrize("text, expected", [
-        ("caf\u00e9Menu", (("caf\u00e9", "menu"), {"case"})),
-        ("\u00c9tat-civil", (("\u00e9tat", "civil"), {"hyphen"})),
-        ("user\u00b2s", (("user", "\u00b2", "s"), {"digit"})),
-        ("a\u00a0b_c", (("a", "b", "c"), {"underscore"})),
+        ("caf\u00e9Menu", (("caf\u00e9", "menu"), True)),
+        ("\u00c9tat-civil", (("\u00e9tat", "civil"), False)),
+        ("user\u00b2s", (("user", "\u00b2", "s"), False)),
+        ("a\u00a0b_c", (("a", "b", "c"), True)),
     ])
     def test_non_ascii_text_is_split_by_character(self, text, expected):
         # Non-ASCII letters and digits are word characters, which the ASCII
         # regex would read as gaps.
-        words, kinds = expected
-        assert split_words(text) == (words, frozenset(kinds))
+        assert split_words(text) == expected
 
-    @given(st.text(alphabet="aZ9-_.\u00e9\u00c9\u00b2\u0130\u00a0\U0001d400", min_size=1,
-                   max_size=16).filter(lambda text: not text.isascii()))
+    # Σ lowercases by its place in the word, so each word is lowered on its own.
+    @given(st.text(alphabet="aZ9-_.\u00e9\u00c9\u00b2\u0130\u00a0\U0001d400ǅⅫ٣Σσ",
+                   min_size=1, max_size=16).filter(lambda text: not text.isascii()))
     def test_non_ascii_text_gives_the_character_loop_result(self, text):
-        assert split_words(text) == uri._split_words_by_char(text)
+        assert split_words(text) == split_by_character(text)
 
     @given(st.text(st.sampled_from(string.ascii_letters + string.digits + "-_.~\ud800é²İǅＡ٣")
                    | st.characters(exclude_categories=()), max_size=24))
@@ -158,8 +192,7 @@ class TestTokenizePath:
 
     def test_segment_is_a_tuple(self):
         seg = tokenize_path("/userId").segments[0]
-        assert seg == (SegmentKind.LITERAL, "userId", "userId", ("user", "id"),
-                       frozenset({"case"}))
+        assert seg == (SegmentKind.LITERAL, "userId", "userId", ("user", "id"), True)
         kind, raw, *_ = seg
         assert (kind, raw) == (seg.kind, seg.raw) and isinstance(seg, Segment)
 
@@ -175,7 +208,7 @@ class TestTokenizePath:
             assert template._replace(archetypes=()) == tokenized
             for seg in template.segments:
                 assert type(seg) is Segment
-                assert seg == (seg.kind, seg.raw, seg.name, seg.words, seg.boundary_kinds)
+                assert seg == (seg.kind, seg.raw, seg.name, seg.words, seg.camel_or_snake)
                 assert seg._replace(raw="r")[1:] == ("r", *seg[2:])
         assert len(classified.archetypes) == len(classified.segments)
 
@@ -310,7 +343,7 @@ class TestClassifyArchetypes:
         after = classify_archetypes(before, default_lexicon())
 
         def tokens(t):
-            return [(s.kind, s.raw, s.name, s.words, s.boundary_kinds) for s in t.segments]
+            return [(s.kind, s.raw, s.name, s.words, s.camel_or_snake) for s in t.segments]
 
         assert tokens(after) == tokens(before)
         assert after.has_trailing_slash == before.has_trailing_slash
