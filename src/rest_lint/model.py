@@ -123,8 +123,8 @@ _OPEN = object()  # anchor table entry of a container still open
 _MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
 
 # LibYAML reads tabs and a byte order mark inside the text where the
-# pure-Python scanner fails or reads otherwise (a tab between tokens or
-# inside a plain scalar). Text with either is left to the pure-Python loader.
+# pure-Python scanner fails or reads otherwise (a tab between tokens or inside
+# a plain scalar), so the event loop leaves text with either to that scanner.
 _PURE_PYTHON_CHARS = "\t\ufeff"
 # LibYAML also reads a "#" right after a block scalar header, which the
 # pure-Python scanner rejects. Compiled where first used, in the event loop.
@@ -141,6 +141,8 @@ def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
     Explicit keys win over merged ones wherever they stand, and of merged
     mappings the earlier one wins, so a merged key is never a duplicate.
     """
+    if len(items) == 2 and items[0] is not _MERGE:  # one key, as most: cheaper than zip
+        return {items[0]: items[1]}
     pairs = iter(items)
     mapping = dict(zip(pairs, pairs))
     if 2 * len(mapping) != len(items) or _MERGE in mapping:
@@ -296,8 +298,8 @@ def _number(token: str, kind: type) -> Any:
 
 def _plain(token: str) -> Any:
     """A plain scalar's value, resolved as SafeLoader resolves it. A string, bool,
-    null, int, float or "<<" is built here; a timestamp or "=" needs PyYAML's
-    constructors."""
+    null, int, float, date or "<<" is built here; a timestamp with a time, or
+    "=", needs PyYAML's constructors."""
     for tag, pattern in _implicit_resolvers().get(token[:1], ()):
         if pattern.match(token):
             if tag == "tag:yaml.org,2002:bool":
@@ -306,6 +308,10 @@ def _plain(token: str) -> Any:
                 return None
             if tag in _NUMBERS:
                 return _number(token, _NUMBERS[tag])
+            if tag == "tag:yaml.org,2002:timestamp" and len(token) == 10:  # YYYY-MM-DD
+                import datetime  # as construct_yaml_timestamp builds a date
+
+                return datetime.date(int(token[:4]), int(token[5:7]), int(token[8:]))
             return _scalar(tag, token)
     return token
 
@@ -348,7 +354,7 @@ def _yaml_from_events(text: str) -> Any:
     """
     import yaml
 
-    if not yaml.__with_libyaml__:
+    if not yaml.__with_libyaml__ or any(char in text for char in _PURE_PYTHON_CHARS):
         raise _HandOver
     loader = yaml.CSafeLoader(text)
     get_event = loader.get_event
@@ -426,13 +432,15 @@ def _yaml_from_events(text: str) -> Any:
 # with a wider character costs ~0.5 ms to compile, so the wider ones are looked
 # for in the whole text instead.
 _NOT_TEXT = "\\x00-\\x1f\\x7f-\\x9f"
+# A tab is text inside a quoted scalar or a comment, as the pure-Python scanner reads it.
+_NOT_INNER = "\\x00-\\x08\\x0a-\\x1f\\x7f-\\x9f"
 _WIDE_NOT_TEXT = "\u2028\u2029\ufeff\ufffe\uffff"  # line breaks, or rejected
 _PLAIN_REST = f"[^ :{_NOT_TEXT}]*(?::(?=[^ {_NOT_TEXT}])[^ :{_NOT_TEXT}]*)*"  # ": " ends it
 _PLAIN = (f"(?:[^ \\-?:,\\[\\]{{}}#&*!|>'\"%@`{_NOT_TEXT}]|[-?:](?=[^ {_NOT_TEXT}])){_PLAIN_REST}"
           f"(?: +(?:[^ :#{_NOT_TEXT}]|:(?=[^ {_NOT_TEXT}])){_PLAIN_REST})*")  # and so does " #"
-_QUOTED = (f"'[^'{_NOT_TEXT}]*(?:''[^'{_NOT_TEXT}]*)*'"
-           f"|\"[^\"\\\\{_NOT_TEXT}]*(?:\\\\[^{_NOT_TEXT}][^\"\\\\{_NOT_TEXT}]*)*\"")
-_COMMENT = f"(?<![^ \\n])#[^{_NOT_TEXT}]*"  # after a space: "a#b" is one scalar
+_QUOTED = (f"'[^'{_NOT_INNER}]*(?:''[^'{_NOT_INNER}]*)*'"
+           f"|\"[^\"\\\\{_NOT_INNER}]*(?:\\\\[^{_NOT_INNER}][^\"\\\\{_NOT_INNER}]*)*\"")
+_COMMENT = f"(?<![^ \\n])#[^{_NOT_INNER}]*"  # after a space: "a#b" is one scalar
 # Compiled where first used, as are the two patterns below, so that a run on
 # JSON alone never compiles them.
 _BLOCK_LINE = (
@@ -451,10 +459,13 @@ _NODE_STARTS = tuple((char, re.escape(char) + "(?<![^ \\n].)(?![\\]}])") for cha
 
 
 # The line reader splits the text this many characters at a time, so that no
-# list holds every line; and keeps the match of at most this many distinct line
+# list holds every line; and keeps the record of at most this many distinct line
 # texts a document, the size of uri._segment's cache.
 _LINE_SLICE = 1 << 16
 _LINE_MEMO = 4096
+_BLANK = ()  # the record of a blank or comment line
+_ABSENT = object()  # a record's key or value where its line has none
+_EMPTY = {"{}": dict, "[]": list}  # a record's value for these, built anew at each use
 
 
 def _lines(text: str, pos: int) -> Iterable[str]:
@@ -472,7 +483,7 @@ def _lines(text: str, pos: int) -> Iterable[str]:
 
 def _yaml_from_lines(text: str) -> Any:
     """Build a block-style document line by line, with no recursion: each distinct
-    line text is matched once, up to _LINE_MEMO of them.
+    line text is matched and digested once, up to _LINE_MEMO of them.
 
     Takes block mappings and sequences of one-line plain and quoted scalars,
     {} and [], and comments, and raises _HandOver at anything else. Scalars
@@ -499,19 +510,25 @@ def _yaml_from_lines(text: str) -> Any:
     slot = True  # the open node awaits a value: the document, a key's or an entry's
     start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
-    memo: dict[str, tuple[Any, ...]] = {}  # a line's text -> its match groups, never a node
+    # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
+    # key's column, and its key and value built or _ABSENT ({} and [] as their types).
+    memo: dict[str, tuple[Any, ...]] = {}
     for line in _lines(text, start.end() if start else 0):
-        groups = memo.get(line)
-        if groups is None:
-            groups = match(line).groups()
+        record = memo.get(line)
+        if record is None:
+            indent, dashes, key, value, other = match(line).groups()
+            if other is not None or key is not None and len(key) > 1024 or value == "<<":
+                raise _HandOver  # a line it does not read, a key too long, a plain "<<" value
+            at = len(indent)
+            record = _BLANK if key is None and value is None and not dashes else (
+                at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
+                at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
+                _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
             if len(memo) < _LINE_MEMO:
-                memo[line] = groups
-        indent, dashes, key, value, other = groups
-        if other is not None:
-            raise _HandOver
-        if key is None and value is None and not dashes:
-            continue  # blank or comment
-        at = len(indent)
+                memo[line] = record
+        if record is _BLANK:
+            continue
+        at, dashes, key_col, key, value = record
         # The line's first node is the open node's value, or else its next key or entry.
         opens = slot and (at > col or at == col and is_map and dashes)
         if not opens:
@@ -521,40 +538,29 @@ def _yaml_from_lines(text: str) -> Any:
                 node = _keyed_flat(items) if is_map else items
                 col, items, is_map, indentless = stack.pop()
                 items.append(node)
-            if at != col or (is_map if dashes else not is_map or key is None):
+            if at != col or (is_map if dashes else not is_map or key is _ABSENT):
                 raise _HandOver  # misaligned, a continued scalar, or the wrong node
-            slot = True
-        if dashes:
-            for i, char in enumerate(dashes):
-                if char == "-" and (i or opens):  # each "- " opens a sequence
+        if dashes:  # most lines have none, and the test is cheaper than an empty loop
+            for dash in dashes:
+                if opens or dash != at:  # each "- " opens a sequence
                     if len(stack) == _MAX_EVENT_DEPTH:
                         raise _HandOver
                     stack.append((col, items, is_map, indentless))
-                    col, items, is_map, indentless = at + i, [], False, at + i == col
-        if key is not None:
-            if len(key) > 1024:
-                raise _HandOver
-            if key[-1] == " ":
-                key = key.rstrip(" ")
-            key = scalars[key]
+                    col, items, is_map, indentless = dash, [], False, dash == col
+        if key is not _ABSENT:
             if opens or dashes:  # the first key of a mapping
                 if len(stack) == _MAX_EVENT_DEPTH:
                     raise _HandOver
                 stack.append((col, items, is_map, indentless))
-                col, items, is_map, indentless = at + len(dashes), [], True, False
+                col, items, is_map, indentless = key_col, [], True, False
             items.append(key)
-            slot = True
-        if value is not None:
-            if value == "{}" or value == "[]":  # a new node each time, so not in the table
+        slot = value is _ABSENT
+        if not slot:
+            if value is dict or value is list:
                 if len(stack) == _MAX_EVENT_DEPTH:
                     raise _HandOver
-                value = {} if value == "{}" else []
-            else:
-                value = scalars[value]
-            if value is _MERGE:
-                raise _HandOver  # "<<" other than as a key
+                value = value()
             items.append(value)
-            slot = False
     if slot:
         items.append(None)
     while stack:
@@ -576,7 +582,7 @@ def _load_yaml(text: str) -> Any:
     event loop leaves, or either fails on, is parsed again by _DupSafeLoader,
     whose result or error stands, so every diagnostic is the pure-Python parser's.
     """
-    if _FAST_YAML and not any(char in text for char in _PURE_PYTHON_CHARS):
+    if _FAST_YAML:
         for read in (_yaml_from_lines, _yaml_from_events):
             try:
                 return read(text)

@@ -1,15 +1,15 @@
 """The 14 REST design rule checkers and their orchestration.
 
-Every checker has one signature,
-check_x(spec, templates, actions, cfg, lexicon), and is a pure function
-of those arguments: the immutable spec, its path templates tokenized and
-classified once, the CRUD action tokens of its GET and POST operations,
-the rule config, and the word lexicon. It yields findings, (path,
-method, status key, fragment, message) tuples, and names no rule:
-_RULES binds each RuleId to its category and its checker. run_rules
-finds the templates and action tokens once and builds every Violation,
-one per finding of each enabled checker, in RULE_ORDER, unsorted and
-with duplicates kept; reporting.build_report sorts and coalesces them.
+Every checker has one signature, check_x(operations, templates, cfg,
+lexicon), and is a pure function of those arguments: the spec's (path,
+method, operation, CRUD action tokens) tuples, tokens found for GET and
+POST alone, its path templates tokenized and classified once, the rule
+config, and the word lexicon. It yields findings, (path, method, status
+key, fragment, message) tuples, and names no rule: _RULES binds each
+RuleId to its category and its checker. run_rules lists the operations
+and templates once and builds every Violation, one per finding of each
+enabled checker, in RULE_ORDER, unsorted and with duplicates kept;
+reporting.build_report sorts and coalesces them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 import re
 import types
 from functools import partial
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .lexicon import WordLexicon, crud_method_of, is_plural, is_verb
 from .model import ApiSpecification, OperationRecord
@@ -87,8 +87,8 @@ _BODYLESS_STATUSES = {"204", "304"}
 # What a checker yields: (path, method, status_key, fragment, message).
 Finding = tuple[str, str | None, str | None, str, str]
 Templates = Mapping[str, PathTemplate]
-# (path, method) of a GET or POST operation -> its (CRUD token, implied method)s.
-Actions = Mapping[tuple[str, str], list[tuple[str, str]]]
+# (path, method, operation, its (CRUD token, implied method)s for GET and POST, else ()).
+Operations = list[tuple[str, str, OperationRecord, Sequence[tuple[str, str]]]]
 
 
 class Violation(NamedTuple):
@@ -136,22 +136,17 @@ def run_rules(
         )
         for raw in spec.paths
     }
-    actions = {
-        (path, method): _action_tokens(templates[path], op, lexicon)
-        for path, method, op in _operations(spec) if method in ("GET", "POST")
-    }
+    operations = [
+        (path, method, op,
+         _action_tokens(templates[path], op, lexicon) if method in ("GET", "POST") else ())
+        for path, entry in spec.paths.items() for method, op in entry.operations.items()
+    ]
     collected: list[Violation] = []
     for rule in RULE_ORDER:
         if rule in cfg.enabled:
-            findings = _RULES[rule][1](spec, templates, actions, cfg, lexicon)
+            findings = _RULES[rule][1](operations, templates, cfg, lexicon)
             collected.extend(map(_violation, map((rule,).__add__, findings)))
     return collected
-
-
-def _operations(spec: ApiSpecification) -> Iterable[tuple[str, str, OperationRecord]]:
-    for path, entry in spec.paths.items():
-        for method, op in entry.operations.items():
-            yield path, method, op
 
 
 def _action_tokens(
@@ -177,10 +172,10 @@ def _action_tokens(
 # ---------------------------------------------------------------------------
 
 
-def check_rc401(spec: ApiSpecification, templates: Templates, actions: Actions,
-                cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_rc401(operations: Operations, templates: Templates, cfg: RuleConfig,
+                lexicon: WordLexicon) -> Iterator[Finding]:
     """Credentialed operations must declare a 401 (or 4XX range) response."""
-    for path, method, op in _operations(spec):
+    for path, method, op, _ in operations:
         if not op.requires_credentials:
             continue
         if "401" in op.responses or "4XX" in op.responses:
@@ -194,8 +189,8 @@ def check_rc401(spec: ApiSpecification, templates: Templates, actions: Actions,
 # ---------------------------------------------------------------------------
 
 
-def check_plural_noun(spec: ApiSpecification, templates: Templates, actions: Actions,
-                      cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_plural_noun(operations: Operations, templates: Templates, cfg: RuleConfig,
+                      lexicon: WordLexicon) -> Iterator[Finding]:
     """Collection segments must have a plural head word."""
     for path, template in templates.items():
         for seg, archetype in zip(template.segments, template.archetypes):
@@ -205,8 +200,8 @@ def check_plural_noun(spec: ApiSpecification, templates: Templates, actions: Act
                            f"collection segment '{seg.raw}' should use a plural noun")
 
 
-def check_singular_noun(spec: ApiSpecification, templates: Templates, actions: Actions,
-                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_singular_noun(operations: Operations, templates: Templates, cfg: RuleConfig,
+                        lexicon: WordLexicon) -> Iterator[Finding]:
     """Literal document segments must have a singular head word.
 
     Parameter segments are exempt: their runtime values are opaque.
@@ -223,16 +218,16 @@ def check_singular_noun(spec: ApiSpecification, templates: Templates, actions: A
                        f"document segment '{seg.raw}' should use a singular noun")
 
 
-def check_no_trailing_slash(spec: ApiSpecification, templates: Templates, actions: Actions,
-                            cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_no_trailing_slash(operations: Operations, templates: Templates, cfg: RuleConfig,
+                            lexicon: WordLexicon) -> Iterator[Finding]:
     """Path templates must not end with a slash; the root path is exempt."""
     for path, template in templates.items():
         if template.has_trailing_slash:
             yield path, None, None, "/", "path has a trailing slash"
 
 
-def check_verb_controller(spec: ApiSpecification, templates: Templates, actions: Actions,
-                          cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_verb_controller(operations: Operations, templates: Templates, cfg: RuleConfig,
+                          lexicon: WordLexicon) -> Iterator[Finding]:
     """Controller segments must start with a verb.
 
     The default classifier only labels verb-initial segments as
@@ -247,8 +242,8 @@ def check_verb_controller(spec: ApiSpecification, templates: Templates, actions:
                            f"controller segment '{seg.raw}' should start with a verb")
 
 
-def check_no_crud_names(spec: ApiSpecification, templates: Templates, actions: Actions,
-                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_no_crud_names(operations: Operations, templates: Templates, cfg: RuleConfig,
+                        lexicon: WordLexicon) -> Iterator[Finding]:
     """CRUD function names do not belong in URIs."""
     for path, template in templates.items():
         for seg in template.segments:
@@ -261,8 +256,8 @@ def check_no_crud_names(spec: ApiSpecification, templates: Templates, actions: A
                     break
 
 
-def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: Actions,
-                        cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_forward_slash(operations: Operations, templates: Templates, cfg: RuleConfig,
+                        lexicon: WordLexicon) -> Iterator[Finding]:
     """Hierarchy must be expressed with '/': no empty segments, no '.'/':'/';'."""
     for path, template in templates.items():
         if template.has_empty_segment:
@@ -275,8 +270,8 @@ def check_forward_slash(spec: ApiSpecification, templates: Templates, actions: A
                        f"segment '{raw}' uses a non-slash hierarchy separator")
 
 
-def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions,
-                  cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_hyphens(operations: Operations, templates: Templates, cfg: RuleConfig,
+                  lexicon: WordLexicon) -> Iterator[Finding]:
     """Multiword literal segments should be hyphen-separated.
 
     Fires on case or underscore boundaries; digit boundaries alone
@@ -289,8 +284,8 @@ def check_hyphens(spec: ApiSpecification, templates: Templates, actions: Actions
                        f"multiword segment '{seg.raw}' should use hyphens")
 
 
-def check_lowercase(spec: ApiSpecification, templates: Templates, actions: Actions,
-                    cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_lowercase(operations: Operations, templates: Templates, cfg: RuleConfig,
+                    lexicon: WordLexicon) -> Iterator[Finding]:
     """URI paths should be lowercase; parameter names are placeholders."""
     for path, template in templates.items():
         for seg in template.segments:
@@ -303,8 +298,8 @@ def check_lowercase(spec: ApiSpecification, templates: Templates, actions: Actio
                        f"segment '{seg.raw}' contains uppercase characters")
 
 
-def check_no_underscores(spec: ApiSpecification, templates: Templates, actions: Actions,
-                         cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_no_underscores(operations: Operations, templates: Templates, cfg: RuleConfig,
+                         lexicon: WordLexicon) -> Iterator[Finding]:
     """Underscores do not belong in URI paths; parameter names are placeholders."""
     for path, template in templates.items():
         for seg in template.segments:
@@ -319,10 +314,10 @@ def check_no_underscores(spec: ApiSpecification, templates: Templates, actions: 
 # ---------------------------------------------------------------------------
 
 
-def check_content_type(spec: ApiSpecification, templates: Templates, actions: Actions,
-                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_content_type(operations: Operations, templates: Templates, cfg: RuleConfig,
+                       lexicon: WordLexicon) -> Iterator[Finding]:
     """Request bodies and body-bearing responses must declare media types."""
-    for path, method, op in _operations(spec):
+    for path, method, op, _ in operations:
         if op.has_request_body and not op.request_media_types:
             yield path, method, None, "Content-Type", "request body declares no media type"
         for status, media_types in op.responses.items():
@@ -333,14 +328,14 @@ def check_content_type(spec: ApiSpecification, templates: Templates, actions: Ac
                        f"response {status} declares no media type")
 
 
-def check_description_type(spec: ApiSpecification, templates: Templates, actions: Actions,
-                           cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_description_type(operations: Operations, templates: Templates, cfg: RuleConfig,
+                           lexicon: WordLexicon) -> Iterator[Finding]:
     """The leading word of a description must not contradict the method.
 
     Only the first word is inspected; scanning whole descriptions is far
     too noisy. Operations without a usable leading word produce nothing.
     """
-    for path, method, op in _operations(spec):
+    for path, method, op, _ in operations:
         own_class = _METHOD_CLASS.get(method)
         if own_class is None:
             continue
@@ -363,18 +358,18 @@ def check_description_type(spec: ApiSpecification, templates: Templates, actions
 # ---------------------------------------------------------------------------
 
 
-def check_no_tunnel(spec: ApiSpecification, templates: Templates, actions: Actions,
-                    cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_no_tunnel(operations: Operations, templates: Templates, cfg: RuleConfig,
+                    lexicon: WordLexicon) -> Iterator[Finding]:
     """GET and POST must not smuggle another method's semantics.
 
     Flags CRUD tokens (in the path or operationId) that imply a
     different method, and method-switching query parameters. POST
     carrying create-class tokens is the legitimate case.
     """
-    for path, method, op in _operations(spec):
+    for path, method, op, actions in operations:
         if method not in ("GET", "POST"):
             continue
-        for token, implied in actions[path, method]:
+        for token, implied in actions:
             if implied != method:
                 yield (path, method, None, token,
                        f"'{token}' tunnels {implied} semantics through {method}")
@@ -384,15 +379,15 @@ def check_no_tunnel(spec: ApiSpecification, templates: Templates, actions: Actio
                        f"query parameter '{name}' switches the request method")
 
 
-def check_get_retrieve(spec: ApiSpecification, templates: Templates, actions: Actions,
-                       cfg: RuleConfig, lexicon: WordLexicon) -> Iterator[Finding]:
+def check_get_retrieve(operations: Operations, templates: Templates, cfg: RuleConfig,
+                       lexicon: WordLexicon) -> Iterator[Finding]:
     """GET must only retrieve: no request bodies, no non-read CRUD tokens."""
-    for path, method, op in _operations(spec):
+    for path, method, op, actions in operations:
         if method != "GET":
             continue
         if op.has_request_body:
             yield path, "GET", None, "request-body", "GET operation declares a request body"
-        for token, implied in actions[path, "GET"]:
+        for token, implied in actions:
             if _METHOD_CLASS[implied] != "read":
                 yield (path, "GET", None, token,
                        f"GET used for a {_METHOD_CLASS[implied]}-style action '{token}'")

@@ -20,10 +20,10 @@ from .lexicon import WordLexicon, is_plural, is_verb
 
 # An ASCII word. Adjacent words meet at a case boundary, or at a digit
 # boundary where one of them is digits.
-_WORD = r"[0-9]+|[A-Z]+[a-z]*|[a-z]+"
-_WORDS = re.compile(_WORD)
-# An ASCII word with the non-alphanumeric gap before it.
-_GAP_AND_WORD = re.compile(rf"([^0-9A-Za-z]*)({_WORD})")
+_WORDS = re.compile(r"[0-9]+|[A-Z]+[a-z]*|[a-z]+")
+# Where two ASCII words meet at a lowercase-to-uppercase change, or with an
+# underscore in the gap between them.
+_CAMEL_OR_SNAKE = re.compile(r"[a-z][A-Z]|[0-9A-Za-z][^0-9A-Za-z]*_[^0-9A-Za-z]*[0-9A-Za-z]")
 
 
 class SegmentKind(enum.Enum):
@@ -80,19 +80,14 @@ def split_words(text: str) -> tuple[tuple[str, ...], bool]:
     Words are the alphanumeric runs, split again where lowercase meets
     uppercase and where a letter meets a digit. The flag is true when two
     words meet at a lowercase-to-uppercase change or with an underscore in
-    the gap between them. ASCII text is split by one regex; other text one
-    alphanumeric run at a time.
+    the gap between them. ASCII text is split by one regex and flagged by
+    another; other text is split one alphanumeric run at a time.
     """
     if not text.isascii():
         return _split_words_by_run(text)
-    pairs = _GAP_AND_WORD.findall(text)
-    camel_or_snake = False
-    for (_, before), (gap, word) in zip(pairs, pairs[1:]):
-        # With no gap, words meet at a case change unless one is digits.
-        if ("_" in gap) if gap else ("9" < before[0] and "9" < word[0]):
-            camel_or_snake = True
-            break
-    return tuple([word.lower() for _, word in pairs]), camel_or_snake
+    # Without an "_" or an uppercase letter, the search could find nothing.
+    return (tuple(map(str.lower, _WORDS.findall(text))),
+            ("_" in text or not text.islower()) and _CAMEL_OR_SNAKE.search(text) is not None)
 
 
 def word_tokens(text: str) -> list[str]:

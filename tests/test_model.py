@@ -576,6 +576,20 @@ def _parsed(data: bytes) -> tuple:
     return ("document", repr(doc), _duplicate_keys(doc))
 
 
+def _parse_in_fresh_interpreter(data: str) -> str:
+    """What _parse_document gives for the bytes literal data, and whether it
+    imported yaml, printed by a fresh interpreter: in-process tests import yaml
+    themselves."""
+    code = f"import sys; from rest_lint import model; print(model._parse_document({data}), " \
+           "'yaml' in sys.modules)"
+    src = str(Path(model.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-300:]
+    return proc.stdout
+
+
 def _perfbench_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -664,19 +678,23 @@ _BLOCK_VALUES = [
     '"x\\u00e9\\n\\"q\\\\"', '"a\\x41\\tb\\/"', '""', '"\\U0010FFFF"', "{}", "[]", "",
     # Prose: an indicator after a space, where no node can start.
     "see {id}", "x > y", "a & b", "what ? now", "see [docs]", "b, *c",
+    # Tabs inside quotes; and a date that does not exist, an error on every path.
+    "'a\tb'", '"\t\\\tc\t"', "2001-02-30",
 ]
 _BLOCK_SCALARS = st.sampled_from(_BLOCK_VALUES * 3 + [
-    '"\\q"', '"\\x4"', "<<", "=", ":x", "?x", "x:", "'a'b", "{a: 1}", "[a]", "*a", "&a b"])
+    '"\\q"', '"\\x4"', "<<", "=", ":x", "?x", "x:", "'a'b", "{a: 1}", "[a]", "*a", "&a b",
+    "a\tb"])
 _BLOCK_KEY_WORDS = ["a", "b", "a", "<<", "1", "0x1", "true", "on", "~", "'a'", '"b"', "a b", "-k",
-                    "x:y", "k#", '"\\t"', "''", "2001-12-14", "a  "]
+                    "x:y", "k#", '"\\t"', "''", "2001-12-14", "a  ", "'k\tk'"]
 _LONG_KEYS = st.one_of(st.integers(1020, 1030).map(lambda n: "k" * n),
                        st.integers(1020, 1030).map(lambda n: "'" + "k" * (n - 2) + "'"))
 _BLOCK_KEYS = st.integers(0, 15).flatmap(lambda i: _LONG_KEYS if i == 0 else st.sampled_from(
     _BLOCK_KEY_WORDS * 2 + ["? q", "a: b", "&k k"]))
-# Added to a line: trailing spaces, a comment, a comment or blank line after
-# it, or a more indented plain line that continues a scalar or breaks the text.
-_BLOCK_TAILS = st.sampled_from(["", "", " ", "  # c", " #", "\n# own", "\n"] * 3
-                               + ["\n   q", "\n  ...", "\n--- x"])
+# Added to a line: trailing spaces, a comment (a tab in it or not), a comment
+# or blank line after it, or a more indented plain line that continues a
+# scalar or breaks the text, or a tab outside a comment.
+_BLOCK_TAILS = st.sampled_from(["", "", " ", "  # c", " #", "\n# own", "\n", " # a\tb", "\n#\t"] * 3
+                               + ["\n   q", "\n  ...", "\n--- x", "\t", "\t# c"])
 
 
 def _block_lines(node, indent: int, step: int, indentless: bool) -> list[str]:
@@ -902,6 +920,30 @@ class TestYamlLoaders:
          ("error", "invalid YAML: expected <block end>, but found '<block mapping start>' "
                    "(line 5 column 3)", "line 5 column 3")),
         (b"- a: {}\n- a: {}\n", True, ("document", "[{'a': {}}, {'a': {}}]", [[], [], [], []])),
+        # A line's record: a null key is a key, not its absence; "<<" as a value is
+        # handed over; one "  k: {}" record gives a new {} at each use.
+        (b"~: a\n", True, ("document", "{None: 'a'}", [[]])),
+        (b"null: b\n", True, ("document", "{None: 'b'}", [[]])),
+        (b"- ~\n", True, ("document", "[None]", [])),
+        (b"a: <<\n", False, ("error", "invalid YAML: could not determine a constructor for the "
+                                       "tag 'tag:yaml.org,2002:merge' (line 1 column 4)",
+                               "line 1 column 4")),
+        (b"x:\n  k: {}\ny:\n  k: {}\n", True,
+         ("document", "{'x': {'k': {}}, 'y': {'k': {}}}", [[], [], [], [], []])),
+        # A tab in a comment or a quoted scalar is read; one elsewhere is the
+        # pure-Python parser's error.
+        (b"a: b # c\td\n", True, ("document", "{'a': 'b'}", [[]])),
+        (b"# a\tb\na: 1\n", True, ("document", "{'a': 1}", [[]])),
+        (b"a: 'x\ty'\n", True, ("document", "{'a': 'x\\ty'}", [[]])),
+        (b"'k\tk': \"v\\\tw\\t\"\n", True, ("document", "{'k\\tk': 'v\\tw\\t'}", [[]])),
+        (b"a: x\tb\n", False, ("error", "invalid YAML: found character '\\t' that cannot start "
+                                          "any token (line 1 column 5)", "line 1 column 5")),
+        (b"a:\tb\n", False, ("error", "invalid YAML: found character '\\t' that cannot start "
+                                        "any token (line 1 column 3)", "line 1 column 3")),
+        (b"a: b\t# c\n", False, ("error", "invalid YAML: found character '\\t' that cannot "
+                                            "start any token (line 1 column 5)",
+                                   "line 1 column 5")),
+        (b"d: 2024-01-01\n", True, ("document", "{'d': datetime.date(2024, 1, 1)}", [[]])),
     ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
@@ -910,7 +952,10 @@ class TestYamlLoaders:
             "prose-brace", "prose-folded", "prose-question", "prose-ampersand", "prose-bracket",
             "anchored-entry", "anchored-key", "spaced-block-scalar", "continued-at-indicator",
             "repeated-first-key", "repeated-entry", "repeated-then-misaligned",
-            "repeated-empty-map"])
+            "repeated-empty-map", "null-key", "null-word-key", "null-entry", "merge-value",
+            "one-record-two-maps", "tab-in-comment", "tab-in-comment-line", "tab-in-single-quoted",
+            "tab-in-quoted-key-and-escape", "tab-in-plain", "tab-after-colon",
+            "tab-before-comment", "date"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
@@ -965,8 +1010,9 @@ class TestYamlLoaders:
             assert matched.count("- x") == times
 
     @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n", "- a: {}\n- a: {}\n",
-                                      "- []\n- []\n"],
-                             ids=["map", "seq", "repeated-map-line", "repeated-seq-line"])
+                                      "- []\n- []\n", "x:\n  k: {}\ny:\n  k: {}\n"],
+                             ids=["map", "seq", "repeated-map-line", "repeated-seq-line",
+                                  "repeated-key-line"])
     def test_equal_empty_containers_are_distinct(self, text):
         def empties(node) -> list:
             children = node.values() if isinstance(node, dict) else node
@@ -1040,16 +1086,13 @@ class TestYamlLoaders:
         assert outcome(lambda: model._Scalars()[token]) == expected
 
     def test_numbers_need_no_pyyaml(self):
-        # In-process tests import yaml themselves, so the parse runs in a fresh interpreter.
-        code = ("import sys; from rest_lint import model; "
-                "print(model._parse_document(b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'), "
-                "'yaml' in sys.modules)")
-        src = str(Path(model.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              timeout=120, env={**os.environ, "PYTHONPATH": path})
         expected = "{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb'} False\n"
-        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr[-300:]
+        data = "b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'"
+        assert _parse_in_fresh_interpreter(data) == expected
+
+    def test_dates_need_no_pyyaml(self):
+        expected = "{'d': datetime.date(2024, 1, 1), 'e': '2024-1-1'} False\n"
+        assert _parse_in_fresh_interpreter("b'd: 2024-01-01\\ne: 2024-1-1\\n'") == expected
 
     def test_line_reader_runs_without_libyaml(self, monkeypatch):
         monkeypatch.setattr(yaml, "__with_libyaml__", False)
