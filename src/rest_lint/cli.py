@@ -193,9 +193,31 @@ def _discard_stdout() -> None:
             pass
 
 
+def _overrides_by_path(rules: RuleConfig, paths: list[str]) -> RuleConfig:
+    """The rules with each archetype override keyed by the lint paths its spec_id
+    names, however either is spelled ("ov.json", "./ov.json", an absolute path):
+    both name one file when their absolute paths are equal."""
+    if not rules.archetype_overrides:
+        return rules
+    spellings: dict[str, set[str]] = {}
+    for path in paths:
+        spellings.setdefault(os.path.abspath(path), set()).add(path)
+    keyed: dict[tuple[str, str], dict[int, Archetype]] = {}
+    for (spec_id, template), pinned in rules.archetype_overrides.items():
+        for path in spellings.get(os.path.abspath(spec_id), ()):
+            merged = keyed.setdefault((path, template), {})
+            for index, archetype in pinned.items():
+                if merged.setdefault(index, archetype) is not archetype:
+                    raise ConfigError(f"archetype_overrides: segment {index} of {template!r} "
+                                      f"in {path!r} is overridden under two spellings of its "
+                                      "path, to different archetypes")
+    return rules._replace(archetype_overrides=keyed)
+
+
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
     """Lint each file and write rendered reports to stdout."""
     lexicon = _resolve_lexicon(cfg)
+    rules = _overrides_by_path(cfg.rules, paths)
     any_violation = False
     any_error = False
     for path in _collecting_after_each(paths):
@@ -205,7 +227,7 @@ def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             any_error = True
             continue
-        report = build_report(spec.spec_id, run_rules(spec, cfg.rules, lexicon))
+        report = build_report(spec.spec_id, run_rules(spec, rules, lexicon))
         _write(render(report, cfg.output_format))
         any_violation = any_violation or bool(report.violations)
         del spec, report  # freed now, the file's collection walks only what outlives it

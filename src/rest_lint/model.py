@@ -143,6 +143,10 @@ def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
     """
     if len(items) == 2 and items[0] is not _MERGE:  # one key, as most: cheaper than zip
         return {items[0]: items[1]}
+    if len(items) == 4:  # two distinct keys, neither "<<": a display is cheaper than zip
+        k1, v1, k2, v2 = items
+        if k1 is not k2 and k1 != k2 and k1 is not _MERGE and k2 is not _MERGE:
+            return {k1: v1, k2: v2}
     pairs = iter(items)
     mapping = dict(zip(pairs, pairs))
     if 2 * len(mapping) != len(items) or _MERGE in mapping:
@@ -255,14 +259,28 @@ _ESCAPE_REPLACEMENTS = {
 }
 
 
+class _LazyPattern:
+    """A pattern compiled the first time a token is matched against it: most
+    texts try only the bool and null patterns, and each of the float, int and
+    timestamp patterns costs ~0.3 ms to compile. Its pattern and flags read as
+    the compiled pattern's."""
+
+    def __init__(self, pattern: str, flags: int) -> None:
+        self.pattern, self.flags = pattern, flags | re.UNICODE
+
+    def match(self, token: str) -> re.Match[str] | None:
+        self.match = re.compile(self.pattern, self.flags).match  # later calls skip this one
+        return self.match(token)
+
+
 @functools.cache
-def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
-    """_IMPLICIT_RESOLVERS compiled and keyed by first character, as SafeLoader keys them."""
-    table: dict[str, list[tuple[str, re.Pattern[str]]]] = {}
+def _implicit_resolvers() -> dict[str, list[tuple[str, _LazyPattern]]]:
+    """_IMPLICIT_RESOLVERS keyed by first character, as SafeLoader keys them."""
+    table: dict[str, list[tuple[str, _LazyPattern]]] = {}
     for tag, pattern, flags, first in _IMPLICIT_RESOLVERS:
-        compiled = re.compile(pattern, flags)
+        lazy = _LazyPattern(pattern, flags)
         for char in first:
-            table.setdefault(char, []).append((tag, compiled))
+            table.setdefault(char, []).append((tag, lazy))
     return table
 
 
@@ -508,7 +526,9 @@ def _yaml_from_lines(text: str) -> Any:
     # key's column. The root is a column -1 node that holds the document.
     col, items, is_map, indentless = -1, [], False, False
     slot = True  # the open node awaits a value: the document, a key's or an entry's
-    start = re.compile(_DOCUMENT_START).match(text)
+    # Only a text that starts with one of these can open with "---"; a search of
+    # the whole text for "---" would cost more than compiling the pattern.
+    start = re.compile(_DOCUMENT_START).match(text) if text[:1] in "- #\r\n" else None
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
     # key's column, and its key and value built or _ABSENT ({} and [] as their types).
@@ -655,6 +675,8 @@ class _Build:
         self.requires_credentials = False  # the root's security, where an operation has none
         self.diagnostics = diagnostics
         self.status_keys: dict[str | int, str | None] = {}
+        # Content keys, in order, -> their media types, for key sets that raised no diagnostic.
+        self.content_media: dict[tuple[Any, ...], frozenset[str]] = {}
         self.built = 0  # operations, responses and parameters, a shared node each time used
 
     def diag(self, message: str) -> None:
@@ -899,7 +921,13 @@ def _content_media(node: Any, build: _Build, where: str, detail: str) -> frozens
     content = node.get("content")
     if not isinstance(content, dict):
         return _NO_MEDIA
-    return _valid_media(content, build, where, detail)
+    keys = tuple(content)
+    media = build.content_media.get(keys)
+    if media is None:
+        media = _valid_media(content, build, where, detail)
+        if len(media) == len(keys):  # each valid: no diagnostic to repeat at the next use
+            build.content_media[keys] = media
+    return media
 
 
 def _valid_media(values: Iterable[Any], build: _Build, where: str, detail: str) -> frozenset[str]:

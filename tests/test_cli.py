@@ -77,6 +77,21 @@ def run_cli(*args: str, text: bool = True, **env: str) -> subprocess.CompletedPr
     )
 
 
+# Clean as it stands; an override that pins segment 2 of each path (override_config)
+# gives a VerbController and a SingularNoun finding.
+OVERRIDDEN_SPEC = json.dumps({"openapi": "3.0.0", "paths": {
+    "/users/{id}/activation": {"post": {"responses": {"204": {"description": "x"}}}},
+    "/users/{id}/settings": {"get": {"responses": {"204": {"description": "x"}}}}}})
+
+
+def override_config(tmp_path: Path, spec_id: str) -> str:
+    return write_config(tmp_path, {"archetype_overrides": [
+        {"spec_id": spec_id, "path": "/users/{id}/activation", "segment_index": 2,
+         "archetype": "controller"},
+        {"spec_id": spec_id, "path": "/users/{id}/settings", "segment_index": 2,
+         "archetype": "document"}]})
+
+
 def no_space(data: bytes) -> int:
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -237,6 +252,37 @@ class TestLintCommand:
             "path": "/users/{id}/activation", "segment_index": 2, "archetype": "controller"}]})
         assert main(["lint", str(spec), "--config", cfg]) == code
         assert ("VerbController 'activation'" in capsys.readouterr().out) is own_spec
+
+    @pytest.mark.parametrize("spec_id, lint_path", [
+        ("ov.json", "ov.json"), ("ov.json", "./ov.json"), ("./ov.json", "ov.json"),
+        ("sub/../ov.json", "./ov.json"), ("ov.json", "{tmp}/ov.json"), ("{tmp}/ov.json", "ov.json"),
+    ], ids=["same", "dot-slash-path", "dot-slash-id", "parent-step-id", "absolute-path",
+            "absolute-id"])
+    def test_config_override_matches_path_however_spelled(self, tmp_path, monkeypatch, capsys,
+                                                            spec_id, lint_path):
+        (tmp_path / "ov.json").write_text(OVERRIDDEN_SPEC, encoding="utf-8")
+        spec_id, lint_path = (s.format(tmp=tmp_path) for s in (spec_id, lint_path))
+        cfg = override_config(tmp_path, spec_id)
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--config", cfg, lint_path]) == EXIT_VIOLATIONS
+        out = capsys.readouterr().out
+        assert out.startswith(f"{lint_path}: 2 violations\n")  # the spec id as given
+        assert "VerbController 'activation'" in out and "SingularNoun 'settings'" in out
+
+    def test_config_override_under_two_spellings_must_agree(self, tmp_path, monkeypatch, capsys):
+        shutil.copy(CREATE_USER, tmp_path / "s.json")
+        entry = {"path": "/users/{id}/activation", "segment_index": 2}
+        agree = [{**entry, "spec_id": spec_id, "archetype": "controller"}
+                 for spec_id in ("s.json", "./s.json")]
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--config", write_config(tmp_path, {"archetype_overrides": agree}),
+                     "s.json"]) == EXIT_VIOLATIONS
+        differ = [agree[0], {**agree[1], "archetype": "document"}]
+        assert main(["lint", "--config", write_config(tmp_path, {"archetype_overrides": differ}),
+                     "s.json"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "configuration error: archetype_overrides: segment 2 of '/users/{id}/activation' in "
+            "'s.json' is overridden under two spellings of its path, to different archetypes\n")
 
     @pytest.mark.parametrize("exempt, code, rules", [
         (None, EXIT_CLEAN, []), (False, EXIT_VIOLATIONS, ["NoUnderscores"]),
@@ -565,6 +611,18 @@ class TestAggregateCommand:
         root = fixture_corpus(tmp_path)
         assert main(["aggregate", "--format", fmt, str(root)]) == EXIT_VIOLATIONS
         assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("spec_id, code", [("shop", EXIT_VIOLATIONS), ("./shop", EXIT_CLEAN)])
+    def test_override_names_a_project_as_it_is(self, tmp_path, monkeypatch, capsys, spec_id,
+                                               code):
+        # A project's spec id is its directory's name, not a path: "./shop" is another id.
+        (tmp_path / "corpus" / "shop").mkdir(parents=True)
+        (tmp_path / "corpus" / "shop" / "api.json").write_text(OVERRIDDEN_SPEC, encoding="utf-8")
+        monkeypatch.chdir(tmp_path / "corpus")
+        assert main(["aggregate", "--config", override_config(tmp_path, spec_id), "--format",
+                     "csv", "."]) == code
+        rows = capsys.readouterr().out.splitlines()
+        assert ("VerbController,1,1,100" in rows) is (code == EXIT_VIOLATIONS)
 
     def test_clean_project_exits_zero(self, tmp_path, capsys):
         root = tmp_path / "corpus"

@@ -406,12 +406,21 @@ class TestDiagnostics:
         (b"\n  {openapi: 3.0.0, paths: {/a: {get: {responses: {200: {description: x}}}}}}",
          ("not valid JSON (Expecting property name enclosed in double quotes at line 2 "
           "column 4); read as YAML",)),
+        # Each use of a content key set with an invalid media type has its own
+        # diagnostic, however often the set repeats; a valid set has none.
+        (b"openapi: 3.0.0\npaths:\n" + b"".join(
+            b"  /%s:\n    get:\n      responses:\n        '200':\n          content:\n"
+            b"            json: {}\n        '201':\n          content:\n"
+            b"            application/json: {}\n" % name for name in (b"a", b"b")),
+         ("/a GET 200: invalid media type 'json'; dropped",
+          "/b GET 200: invalid media type 'json'; dropped")),
     ], ids=["paths-not-mapping", "path-item-not-mapping", "operation-not-mapping",
             "responses-not-mapping", "root-media-not-list", "operation-media-not-list",
             "unrecognized-swagger-version", "no-version-marker", "cyclic-path-ref",
             "duplicate-response-status", "repeated-response-status-json",
             "repeated-response-status-yaml", "repeated-invalid-status-key", "ref-contexts",
-            "status-keys-that-hash-alike", "json-escape-read-as-yaml", "yaml-flow-mapping"])
+            "status-keys-that-hash-alike", "json-escape-read-as-yaml", "yaml-flow-mapping",
+            "media-types-in-two-operations"])
     def test_builder_diagnostics(self, raw, diagnostics):
         assert load_spec(raw, "diag").diagnostics == diagnostics
 
@@ -553,6 +562,11 @@ class TestQueryParameters:
                     assert changed[1:] == op[1:]
 
 
+# A repeated NaN key as _duplicate_keys lists it: each reader's NaN is one float of
+# its own (math.nan, SafeConstructor.nan_value), and a NaN equals no other.
+NAN_KEY = "<a NaN key>"
+
+
 def _duplicate_keys(doc, seen=None) -> list:
     """Every mapping's duplicate_keys, in document order (aliases may cycle).
 
@@ -562,7 +576,8 @@ def _duplicate_keys(doc, seen=None) -> list:
     if not isinstance(doc, (dict, list)) or id(doc) in seen:
         return []
     seen.add(id(doc))
-    found = [list(getattr(doc, "duplicate_keys", ()))] if isinstance(doc, dict) else []
+    found = [[key if key == key else NAN_KEY for key in getattr(doc, "duplicate_keys", ())]
+             ] if isinstance(doc, dict) else []
     for child in doc.values() if isinstance(doc, dict) else doc:
         found += _duplicate_keys(child, seen)
     return found
@@ -580,8 +595,13 @@ def _parse_in_fresh_interpreter(data: str) -> str:
     """What _parse_document gives for the bytes literal data, and whether it
     imported yaml, printed by a fresh interpreter: in-process tests import yaml
     themselves."""
-    code = f"import sys; from rest_lint import model; print(model._parse_document({data}), " \
-           "'yaml' in sys.modules)"
+    return _in_fresh_interpreter(
+        f"import sys; from rest_lint import model; print(model._parse_document({data}), "
+        "'yaml' in sys.modules)")
+
+
+def _in_fresh_interpreter(code: str) -> str:
+    """What the Python source code prints, run in a fresh interpreter."""
     src = str(Path(model.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -621,8 +641,18 @@ _YAML_SCALARS = st.sampled_from(_YAML_VALUES * 5 + _YAML_ODD)
 _YAML_ANCHORS = st.sampled_from([""] * 8 + ["&a ", "&b "])
 _YAML_KEYS = st.sampled_from(
     ["a", "b", "c", "<<", "<<", "1", "true", "~", "'a'", "[x, y]", "{k: v}", "*a", "&b a",
-     "!!str 1"]
+     "!!str 1", ".nan"]
 )
+# Two-key mappings that _keyed_flat must not build as a display: equal keys (1 and
+# true, a repeated key), two NaNs (one float object, though a NaN equals no other
+# NaN) and a "<<" before or after a key; and two distinct keys, which it builds so.
+_KEY_PAIRS = [("1", "true"), (".nan", ".NaN"), ("<<", "a"), ("a", "<<"), ("a", "a"), ("a", "b")]
+
+
+def _two_keys(children):
+    """A two-key mapping's (key, value) pairs, its keys one of _KEY_PAIRS."""
+    return st.tuples(st.sampled_from(_KEY_PAIRS), children, children).map(
+        lambda drawn: list(zip(drawn[0], drawn[1:])))
 
 
 def _yaml_node(children):
@@ -631,6 +661,7 @@ def _yaml_node(children):
         st.tuples(st.just("seq"), collection, st.lists(children, max_size=4)),
         st.tuples(st.just("map"), collection,
                   st.lists(st.tuples(_YAML_KEYS, children), max_size=4)),
+        st.tuples(st.just("map"), collection, _two_keys(children)),
     )
 
 
@@ -685,7 +716,7 @@ _BLOCK_SCALARS = st.sampled_from(_BLOCK_VALUES * 3 + [
     '"\\q"', '"\\x4"', "<<", "=", ":x", "?x", "x:", "'a'b", "{a: 1}", "[a]", "*a", "&a b",
     "a\tb"])
 _BLOCK_KEY_WORDS = ["a", "b", "a", "<<", "1", "0x1", "true", "on", "~", "'a'", '"b"', "a b", "-k",
-                    "x:y", "k#", '"\\t"', "''", "2001-12-14", "a  ", "'k\tk'"]
+                    "x:y", "k#", '"\\t"', "''", "2001-12-14", "a  ", "'k\tk'", ".nan"]
 _LONG_KEYS = st.one_of(st.integers(1020, 1030).map(lambda n: "k" * n),
                        st.integers(1020, 1030).map(lambda n: "'" + "k" * (n - 2) + "'"))
 _BLOCK_KEYS = st.integers(0, 15).flatmap(lambda i: _LONG_KEYS if i == 0 else st.sampled_from(
@@ -723,6 +754,7 @@ def _block_texts():
         lambda children: st.one_of(
             st.tuples(st.just("seq"), st.lists(children, max_size=4)),
             st.tuples(st.just("map"), st.lists(st.tuples(_BLOCK_KEYS, children), max_size=4)),
+            st.tuples(st.just("map"), _two_keys(children)),
         ),
         max_leaves=12,
     )
@@ -944,6 +976,13 @@ class TestYamlLoaders:
                                             "start any token (line 1 column 5)",
                                    "line 1 column 5")),
         (b"d: 2024-01-01\n", True, ("document", "{'d': datetime.date(2024, 1, 1)}", [[]])),
+        # Two-key mappings: keys that are equal, or one of them "<<", are not
+        # built as a display, which would keep the last value and the "<<".
+        (b"1: a\ntrue: b\n", True, ("document", "{1: 'a'}", [[True]])),
+        (b".nan: a\n.NaN: b\n", True, ("document", "{nan: 'a'}", [[NAN_KEY]])),
+        (b"a:\n  <<: {}\n  k: v\n", True, ("document", "{'a': {'k': 'v'}}", [[], []])),
+        (b"a: 1\na: 2\n", True, ("document", "{'a': 1}", [["a"]])),
+        (b"a: 1\nb: 2\n", True, ("document", "{'a': 1, 'b': 2}", [[]])),
     ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
@@ -955,7 +994,8 @@ class TestYamlLoaders:
             "repeated-empty-map", "null-key", "null-word-key", "null-entry", "merge-value",
             "one-record-two-maps", "tab-in-comment", "tab-in-comment-line", "tab-in-single-quoted",
             "tab-in-quoted-key-and-escape", "tab-in-plain", "tab-after-colon",
-            "tab-before-comment", "date"])
+            "tab-before-comment", "date", "two-keys-1-and-true", "two-keys-nan",
+            "two-keys-merge", "two-keys-repeated", "two-keys-distinct"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
@@ -1089,6 +1129,28 @@ class TestYamlLoaders:
         expected = "{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb'} False\n"
         data = "b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'"
         assert _parse_in_fresh_interpreter(data) == expected
+
+    def test_number_patterns_compile_on_first_need(self):
+        # Block text of strings, bools and nulls tries only the bool and null
+        # patterns, so a fresh interpreter compiles no float, int or timestamp one.
+        spec = ("b'openapi: \"3.0.3\"\\npaths:\\n  /items:\\n    get:\\n      deprecated: false"
+                "\\n      x-none: ~\\n      x-null: null\\n      x-on: on\\n      responses:\\n"
+                "        \"200\":\\n          description: OK\\n'")
+        code = ("from rest_lint import model\n"
+                "def compiled():\n"
+                "    return sorted({tag.rpartition(':')[2] for resolvers in "
+                "model._implicit_resolvers().values() for tag, lazy in resolvers "
+                "if 'match' in vars(lazy)})\n"
+                f"print(model.load_spec({spec}, 's').paths['/items'].operations['GET'].responses)\n"
+                "print(compiled())\n"
+                "print(repr(model._parse_document(b'minimum: 0\\nx-r: 1.5\\n')))\n"
+                "print(compiled())\n")
+        responses, before, numbers, after = _in_fresh_interpreter(code).splitlines()
+        assert responses == "{'200': frozenset()}"
+        assert before == "['bool', 'null']"
+        expected = yaml.safe_load("minimum: 0\nx-r: 1.5\n")
+        assert numbers == repr(expected) and [type(v) for v in expected.values()] == [int, float]
+        assert after == "['bool', 'float', 'int', 'null']"
 
     def test_dates_need_no_pyyaml(self):
         expected = "{'d': datetime.date(2024, 1, 1), 'e': '2024-1-1'} False\n"
