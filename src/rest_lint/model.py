@@ -259,28 +259,14 @@ _ESCAPE_REPLACEMENTS = {
 }
 
 
-class _LazyPattern:
-    """A pattern compiled the first time a token is matched against it: most
-    texts try only the bool and null patterns, and each of the float, int and
-    timestamp patterns costs ~0.3 ms to compile. Its pattern and flags read as
-    the compiled pattern's."""
-
-    def __init__(self, pattern: str, flags: int) -> None:
-        self.pattern, self.flags = pattern, flags | re.UNICODE
-
-    def match(self, token: str) -> re.Match[str] | None:
-        self.match = re.compile(self.pattern, self.flags).match  # later calls skip this one
-        return self.match(token)
-
-
 @functools.cache
-def _implicit_resolvers() -> dict[str, list[tuple[str, _LazyPattern]]]:
-    """_IMPLICIT_RESOLVERS keyed by first character, as SafeLoader keys them."""
-    table: dict[str, list[tuple[str, _LazyPattern]]] = {}
+def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
+    """_IMPLICIT_RESOLVERS compiled and keyed by first character, as SafeLoader keys them."""
+    table: dict[str, list[tuple[str, re.Pattern[str]]]] = {}
     for tag, pattern, flags, first in _IMPLICIT_RESOLVERS:
-        lazy = _LazyPattern(pattern, flags)
+        compiled = re.compile(pattern, flags)
         for char in first:
-            table.setdefault(char, []).append((tag, lazy))
+            table.setdefault(char, []).append((tag, compiled))
     return table
 
 
@@ -526,9 +512,7 @@ def _yaml_from_lines(text: str) -> Any:
     # key's column. The root is a column -1 node that holds the document.
     col, items, is_map, indentless = -1, [], False, False
     slot = True  # the open node awaits a value: the document, a key's or an entry's
-    # Only a text that starts with one of these can open with "---"; a search of
-    # the whole text for "---" would cost more than compiling the pattern.
-    start = re.compile(_DOCUMENT_START).match(text) if text[:1] in "- #\r\n" else None
+    start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
     # key's column, and its key and value built or _ABSENT ({} and [] as their types).

@@ -595,13 +595,8 @@ def _parse_in_fresh_interpreter(data: str) -> str:
     """What _parse_document gives for the bytes literal data, and whether it
     imported yaml, printed by a fresh interpreter: in-process tests import yaml
     themselves."""
-    return _in_fresh_interpreter(
-        f"import sys; from rest_lint import model; print(model._parse_document({data}), "
-        "'yaml' in sys.modules)")
-
-
-def _in_fresh_interpreter(code: str) -> str:
-    """What the Python source code prints, run in a fresh interpreter."""
+    code = f"import sys; from rest_lint import model; print(model._parse_document({data}), " \
+           "'yaml' in sys.modules)"
     src = str(Path(model.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1129,28 +1124,6 @@ class TestYamlLoaders:
         expected = "{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb'} False\n"
         data = "b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'"
         assert _parse_in_fresh_interpreter(data) == expected
-
-    def test_number_patterns_compile_on_first_need(self):
-        # Block text of strings, bools and nulls tries only the bool and null
-        # patterns, so a fresh interpreter compiles no float, int or timestamp one.
-        spec = ("b'openapi: \"3.0.3\"\\npaths:\\n  /items:\\n    get:\\n      deprecated: false"
-                "\\n      x-none: ~\\n      x-null: null\\n      x-on: on\\n      responses:\\n"
-                "        \"200\":\\n          description: OK\\n'")
-        code = ("from rest_lint import model\n"
-                "def compiled():\n"
-                "    return sorted({tag.rpartition(':')[2] for resolvers in "
-                "model._implicit_resolvers().values() for tag, lazy in resolvers "
-                "if 'match' in vars(lazy)})\n"
-                f"print(model.load_spec({spec}, 's').paths['/items'].operations['GET'].responses)\n"
-                "print(compiled())\n"
-                "print(repr(model._parse_document(b'minimum: 0\\nx-r: 1.5\\n')))\n"
-                "print(compiled())\n")
-        responses, before, numbers, after = _in_fresh_interpreter(code).splitlines()
-        assert responses == "{'200': frozenset()}"
-        assert before == "['bool', 'null']"
-        expected = yaml.safe_load("minimum: 0\nx-r: 1.5\n")
-        assert numbers == repr(expected) and [type(v) for v in expected.values()] == [int, float]
-        assert after == "['bool', 'float', 'int', 'null']"
 
     def test_dates_need_no_pyyaml(self):
         expected = "{'d': datetime.date(2024, 1, 1), 'e': '2024-1-1'} False\n"
