@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from pathlib import Path
@@ -54,6 +53,8 @@ def load_config(path: str | Path | None = None) -> LintConfig:
     """
     if path is None:
         return LintConfig()
+    import json
+
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
@@ -244,7 +245,11 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
     if not root_path.is_dir():
         print(f"{root}: not a directory", file=sys.stderr)
         return EXIT_ERROR
-    projects = sorted((d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name)
+    try:
+        projects = sorted((d for d in root_path.iterdir() if d.is_dir()), key=lambda d: d.name)
+    except OSError as exc:  # a directory this process may not read
+        print(f"{root}: cannot list directory: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_ERROR
     if not projects:
         print(f"{root}: empty corpus (no project subdirectories)", file=sys.stderr)
         return EXIT_ERROR

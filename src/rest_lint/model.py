@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import re
 import types
@@ -131,6 +130,10 @@ _PURE_PYTHON_CHARS = "\t\ufeff"
 _BLOCK_HEADER_COMMENT = r"[|>](?:[-+]?[1-9]?|[1-9][-+])#"
 # Text that starts like a JSON object or array; matched in place, not copied.
 _JSON_START = re.compile(r"\s*[{\[]")
+# Text whose first character after JSON's white space starts a JSON value. On any
+# other text json.loads fails at that character, and its message is shown only
+# where _JSON_START matches, so such text goes to YAML without importing json.
+_JSON_VALUE_START = re.compile(r'[ \t\n\r]*(?:[{\["0-9]|-[0-9I]|true|false|null|NaN|Infinity)')
 
 
 def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
@@ -607,24 +610,27 @@ def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
 
-    try:
-        return json.loads(text, object_pairs_hook=_keyed_from_pairs)
-    except json.JSONDecodeError as exc:
-        # Keep the message, not the exception: its traceback holds this frame, so
-        # binding it here would make a reference cycle that keeps the YAML
-        # document parsed below alive until a full garbage collection.
-        json_error = (exc.msg, exc.lineno, exc.colno)
-    except RecursionError as exc:
-        raise ParseError("document nesting too deep") from exc
-    except ValueError as exc:  # a number beyond Python's limit on integer digits
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    msg, line, column = json_error
+    json_start = _JSON_START.match(text)
+    if json_start or _JSON_VALUE_START.match(text):
+        import json
+
+        try:
+            return json.loads(text, object_pairs_hook=_keyed_from_pairs)
+        except json.JSONDecodeError as exc:
+            # Keep the message, not the exception: its traceback holds this frame, so
+            # binding it here would make a reference cycle that keeps the YAML
+            # document parsed below alive until a full garbage collection.
+            msg, line, column = exc.msg, exc.lineno, exc.colno
+        except RecursionError as exc:
+            raise ParseError("document nesting too deep") from exc
+        except ValueError as exc:  # a number beyond Python's limit on integer digits
+            raise ParseError(f"invalid JSON: {exc}") from exc
     try:
         doc = _load_yaml(text)
     except RecursionError as exc:
         raise ParseError("document nesting too deep") from exc
     except Exception as yaml_exc:  # parser layer: any other failure is a parse error
-        if _JSON_START.match(text):
+        if json_start:
             raise ParseError(
                 f"invalid JSON: {msg}", position=f"line {line} column {column}"
             ) from yaml_exc
@@ -638,7 +644,7 @@ def _parse_document(data: bytes, diagnostics: list[str] | None = None) -> Any:
         else:
             problem = getattr(yaml_exc, "problem", None) or str(yaml_exc) or "unreadable document"
         raise ParseError(f"invalid YAML: {problem}", position=position) from yaml_exc
-    if diagnostics is not None and _JSON_START.match(text):
+    if diagnostics is not None and json_start:
         diagnostics.append(f"not valid JSON ({msg} at line {line} column {column}); read as YAML")
     return doc
 

@@ -8,8 +8,6 @@ projects (rounded half up). Rendering is deterministic bytes.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EmptyCorpus, UnsupportedFormat
@@ -104,19 +102,16 @@ def render(payload: LintReport | CorpusSummary, format: str) -> bytes:
     raise UnsupportedFormat(f"cannot render {type(payload).__name__}")
 
 
-# How each rule's findings start in json, up to the path's value.
-_JSON_FINDING_PREFIX = {
-    rule: '{"rule":%s,"category":%s,"path":' % (
-        encode_basestring_ascii(rule.value), encode_basestring_ascii(rule.category.value))
-    for rule in RULE_ORDER
-}
-
-
 def _report_json(report: LintReport) -> bytes:
     """The bytes of json.dumps(doc, separators=(",", ":")) for the report's
     document, written piece by piece without building the document. Findings
     come sorted by path, so each run of one path's findings quotes it once."""
-    quote, prefixes = encode_basestring_ascii, _JSON_FINDING_PREFIX
+    from json.encoder import encode_basestring_ascii as quote
+
+    # How each rule's findings start, up to the path's value.
+    prefixes = {rule: '{"rule":%s,"category":%s,"path":' % (quote(rule.value),
+                                                            quote(rule.category.value))
+                for rule in RULE_ORDER}
     pieces = ['{"spec_id":', quote(report.spec_id), ',"violations":[']
     last_path = quoted_path = None
     for rule, path, method, status_key, fragment, message in report.violations:
@@ -156,6 +151,8 @@ def _report_text(report: LintReport) -> bytes:
 
 
 def _summary_json(summary: CorpusSummary) -> bytes:
+    import json
+
     doc = {
         "total_projects": summary.total_projects,
         "rows": [

@@ -641,6 +641,19 @@ class TestAggregateCommand:
     def test_missing_directory_exits_two(self, tmp_path):
         assert main(["aggregate", str(tmp_path / "nowhere")]) == EXIT_ERROR
 
+    def test_unlistable_directory_exits_two(self, tmp_path, monkeypatch, capsys):
+        # Mode bits keep no directory from root, who may run the suite, so the
+        # listing fails by a patched iterdir.
+        root = build_corpus(tmp_path)
+
+        def refuse(self):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "iterdir", refuse)
+        assert main(["aggregate", str(root)]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"{root}: cannot list directory: "
+                                           f"{os.strerror(errno.EACCES)}\n")
+
     def test_non_spec_files_skipped_with_notice(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         (root / "p1").mkdir(parents=True)
@@ -712,18 +725,21 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr[-300:]
         assert proc.stdout == "[]\n"
 
-    def test_pyyaml_is_imported_only_for_text_the_line_reader_leaves(self, tmp_path):
-        # In-process tests import yaml themselves, so each run is a fresh interpreter.
-        # Its last stderr line says whether yaml was loaded after the import and after main.
-        code = ("import sys; import rest_lint.cli as cli; loaded = ['yaml' in sys.modules]; "
-                "status = cli.main(sys.argv[1:]); loaded.append('yaml' in sys.modules); "
+    @staticmethod
+    def run_loading(module: str, cwd: Path, *argv: str) -> tuple[int, str, str, str]:
+        """Exit status, stdout, stderr before its last line, and that line, which
+        says whether module was loaded after the import and after main, of the CLI
+        in a fresh interpreter: in-process tests import yaml and json themselves."""
+        code = (f"import sys; import rest_lint.cli as cli; loaded = [{module!r} in sys.modules]; "
+                f"status = cli.main(sys.argv[1:]); loaded.append({module!r} in sys.modules); "
                 "sys.stderr.write(f'\\n{loaded}'); sys.exit(status)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                              capture_output=True, text=True, timeout=120, env=cli_env())
+        return (proc.returncode, proc.stdout, *proc.stderr.rpartition("\n")[::2])
 
+    def test_pyyaml_is_imported_only_for_text_the_line_reader_leaves(self, tmp_path):
         def run(cwd: Path, *argv: str) -> tuple[int, str, str, str]:
-            """Exit status, stdout, stderr before the last line, and that line."""
-            proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
-                                  capture_output=True, text=True, timeout=120, env=cli_env())
-            return (proc.returncode, proc.stdout, *proc.stderr.rpartition("\n")[::2])
+            return self.run_loading("yaml", cwd, *argv)
 
         status, _, errors, loaded = run(CORPUS, "lint", "clean.yaml")
         assert (status, errors, loaded) == (EXIT_CLEAN, "", "[False, False]")
@@ -748,6 +764,40 @@ class TestStartUp:
         from_json = run(tmp_path / "json", "lint", "--format", "json", "spec")
         assert (from_yaml[3], from_json[3]) == ("[False, True]", "[False, False]")
         assert from_yaml[:3] == from_json[:3] == (EXIT_VIOLATIONS, from_json[1], "")
+
+    def test_json_is_imported_only_by_runs_that_read_or_write_json(self, tmp_path):
+        def run(cwd: Path, *argv: str) -> tuple[int, str, str, str]:
+            return self.run_loading("json", cwd, *argv)
+
+        yaml_specs = sorted(path.name for path in CORPUS.glob("*.yaml"))
+        assert len(yaml_specs) == 15
+        assert run(CORPUS, "lint", *yaml_specs)[2:] == ("", "[False, False]")
+        inputs = _perfbench_workloads().generate("lint-yaml", 7, tmp_path / "lint-yaml",
+                                                 scale=0.05)
+        assert run(inputs.directory, *inputs.argv)[2:] == ("", "[False, False]")
+        yaml_corpus = tmp_path / "yaml-corpus"
+        for name in yaml_specs:
+            (yaml_corpus / name).mkdir(parents=True)
+            shutil.copy(CORPUS / name, yaml_corpus / name / name)
+        assert run(yaml_corpus, "aggregate", "--format", "csv", ".")[2:] == ("", "[False, False]")
+
+        # A JSON spec, a json report or a config file loads json, and the bytes
+        # are the golden files'.
+        specs = sorted(p.name for p in CORPUS.iterdir() if p.name != "labels.json")
+        golden = {name: (GOLDEN / name).read_text(encoding="utf-8")
+                  for name in ("lint.txt", "lint.json", "aggregate.json")}
+        assert run(CORPUS, "lint", *specs) == (
+            EXIT_VIOLATIONS, golden["lint.txt"], "", "[False, True]")
+        assert run(CORPUS, "lint", "--format", "json", *specs) == (
+            EXIT_VIOLATIONS, golden["lint.json"], "", "[False, True]")
+        assert specs[0] == "clean.yaml"
+        assert run(CORPUS, "lint", "--format", "json", "clean.yaml") == (
+            EXIT_CLEAN, golden["lint.json"].splitlines(keepends=True)[0], "", "[False, True]")
+        config = write_config(tmp_path, {"output_format": "text"})
+        assert run(CORPUS, "lint", "--config", config, "clean.yaml") == (
+            EXIT_CLEAN, golden["lint.txt"].splitlines(keepends=True)[0], "", "[False, True]")
+        assert run(fixture_corpus(tmp_path), "aggregate", "--format", "json", ".") == (
+            EXIT_VIOLATIONS, golden["aggregate.json"], "", "[False, True]")
 
 
 class TestGarbageCollection:

@@ -14,10 +14,11 @@ import sys
 import time
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
@@ -614,6 +615,19 @@ def _perfbench_workloads():
     return workloads
 
 
+# How texts start and go on for the JSON gate property: each JSON value start,
+# near-misses of one, and YAML starts.
+_JSON_GATE_STARTS = [
+    "{", "[", '"', "0", "7", "7e5", "-1", "-0", "-2E-1", "9" * 4301, "-Infinity", "Infinity",
+    "NaN", "true", "false", "null", "nul", "tru", "fals", "Na", "Inf", "-", "-x", "-I", "---",
+    "- a", "#", "a", ".5", "+1", "",
+]
+_JSON_GATE_TAILS = [
+    "", "}", "]", '"', ",", ": 1", ": [1, 2]", '"a": 1}', "1, 2]", "e5", ".5", "\n", " x",
+    " # c", "\n  - b", "\ta", "\\u", "x: &a [*a]",
+]
+
+
 # Pieces of small YAML texts for the differential property: scalars of every
 # resolved type, quoted and tagged ones, empty block scalars, anchors, aliases
 # (one never defined), "<<" and complex keys, in block and flow style. Odd
@@ -1153,6 +1167,30 @@ class TestYamlLoaders:
         monkeypatch.setattr(model, "_yaml_from_events", refuse)
         monkeypatch.setattr(model, "_FAST_YAML", None)
         assert model._parse_document(b"a: [1]\nb: c\n") == {"a": [1], "b": "c"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from([b"", b"\xef\xbb\xbf"]),
+           st.text(st.sampled_from(" \t\r\n\x0c\u00a0\u2028\ufeff"), max_size=3),
+           st.sampled_from(_JSON_GATE_STARTS),
+           st.lists(st.sampled_from(_JSON_GATE_TAILS), max_size=3))
+    @example(b"", "", "", [])
+    @example(b"\xef\xbb\xbf", "\ufeff", "{", ["}"])
+    def test_json_is_skipped_only_where_it_would_change_nothing(self, bom, space, start, tail):
+        # The reference tries json.loads on every text first, as by a gate that
+        # always matches.
+        data = bom + (space + start + "".join(tail)).encode("utf-8")
+
+        def outcome() -> tuple:
+            diagnostics: list[str] = []
+            try:
+                doc = model._parse_document(data, diagnostics)
+            except ParseError as exc:
+                return ("error", str(exc), exc.position)
+            return ("document", repr(doc), _duplicate_keys(doc), diagnostics)
+
+        gated = outcome()
+        with mock.patch.object(model, "_JSON_VALUE_START", re.compile("")):
+            assert outcome() == gated
 
 
 # Few distinct keys, so that lists of pairs often repeat one.
