@@ -1,8 +1,9 @@
 """Command-line front door: lint specs, aggregate a corpus directory.
 
-Exit codes: 0 = no violations, 1 = violations found, 2 = parse or
-configuration error (errors go to stderr; a bad file never stops the
-remaining files from being processed), or a write to stdout that failed
+Exit codes: 0 = no violations, 1 = violations found, 2 = a file that cannot
+be read or parsed, a directory that cannot be listed, or a configuration
+error (errors go to stderr; a bad file never stops the remaining files
+from being processed), or a write to stdout that failed
 (one stderr line; the run stops), 141 = stdout was closed before the output
 was written, as by `| head` or `>&-` (no traceback, no stderr line).
 """
@@ -14,11 +15,11 @@ import gc
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
 from .lexicon import WordLexicon, default_lexicon, load_lexicon
-from .model import load_spec, load_spec_file
+from .model import load_spec_file
 from .reporting import FORMATS, aggregate, build_report, render
 from .rules import RULE_ORDER, RuleConfig, RuleId, run_rules
 from .uri import Archetype
@@ -31,8 +32,6 @@ EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_ERROR = 2
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe
-
-_T = TypeVar("_T")
 
 
 class LintConfig(NamedTuple):
@@ -153,15 +152,6 @@ def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:
     return default_lexicon()
 
 
-def _collecting_after_each(items: Iterable[_T]) -> Iterator[_T]:
-    """Yield each item; once the loop body is done with it, however it ended,
-    collect the youngest generation, which with automatic collection off
-    holds only what that item's processing left."""
-    for item in items:
-        yield item
-        gc.collect(0)
-
-
 class _WriteFailed(Exception):
     """Stdout failed a write, other than by being closed, or took no bytes."""
 
@@ -215,26 +205,57 @@ def _overrides_by_path(rules: RuleConfig, paths: list[str]) -> RuleConfig:
     return rules._replace(archetype_overrides=keyed)
 
 
+def _lint_files(files: Iterable[str | Path], spec_id: str | None, rules: RuleConfig,
+                lexicon: WordLexicon, failed: list, skip_non_specs: bool = False) -> Iterator:
+    """Yield (file, violations) per API description, named spec_id or else its path.
+    Any other file gets a stderr line and joins failed, or only a `skipping` line if
+    skip_non_specs and it is no API description. Each file ends in a gen-0 collection."""
+    skipped = NotAnApiSpec if skip_non_specs else ()  # an empty tuple catches nothing
+    for file in files:
+        try:
+            spec = load_spec_file(file, spec_id)
+        except skipped:
+            print(f"skipping {file}: not an API description", file=sys.stderr)
+        except OSError as exc:
+            print(f"{file}: cannot read file: {exc.strerror or exc}", file=sys.stderr)
+            failed.append(file)
+        except (ParseError, NotAnApiSpec) as exc:
+            print(f"{file}: {exc}", file=sys.stderr)
+            failed.append(file)
+        else:
+            violations = run_rules(spec, rules, lexicon)
+            del spec  # a suspended generator keeps its locals; the collection must not walk them
+            yield file, violations
+            del violations
+        gc.collect(0)
+
+
 def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
     """Lint each file and write rendered reports to stdout."""
     lexicon = _resolve_lexicon(cfg)
     rules = _overrides_by_path(cfg.rules, paths)
     any_violation = False
-    any_error = False
-    for path in _collecting_after_each(paths):
-        try:
-            spec = load_spec_file(path)
-        except (OSError, ParseError, NotAnApiSpec) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            any_error = True
-            continue
-        report = build_report(spec.spec_id, run_rules(spec, rules, lexicon))
+    failed: list = []
+    for path, violations in _lint_files(paths, None, rules, lexicon, failed):
+        report = build_report(path, violations)
         _write(render(report, cfg.output_format))
         any_violation = any_violation or bool(report.violations)
-        del spec, report  # freed now, the file's collection walks only what outlives it
-    if any_error:
+        del violations, report  # freed now, the file's collection walks only what outlives it
+    if failed:
         return EXIT_ERROR
     return EXIT_VIOLATIONS if any_violation else EXIT_CLEAN
+
+
+def _spec_files(project: Path, failed: list) -> list[Path]:
+    """The spec files under project, in path order, through links to files but
+    not to directories. A directory that cannot be listed joins failed."""
+    def unlistable(exc: OSError) -> None:
+        print(f"{exc.filename}: cannot list directory: {exc.strerror or exc}", file=sys.stderr)
+        failed.append(exc.filename)
+
+    files = (Path(top, name) for top, _, names in os.walk(project, onerror=unlistable)
+             for name in names)
+    return sorted(file for file in files if file.is_file() and file.suffix in _SPEC_SUFFIXES)
 
 
 def cmd_aggregate(root: str, cfg: LintConfig) -> int:
@@ -255,31 +276,19 @@ def cmd_aggregate(root: str, cfg: LintConfig) -> int:
         return EXIT_ERROR
 
     any_violation = False
-    any_error = False
+    failed: list = []
     reports = []
     for project in projects:
-        files = sorted(
-            p for p in project.rglob("*") if p.is_file() and p.suffix in _SPEC_SUFFIXES
-        )
-        violations = []
-        for file in _collecting_after_each(files):
-            try:
-                spec = load_spec(file.read_bytes(), spec_id=project.name)
-            except NotAnApiSpec:
-                print(f"skipping {file}: not an API description", file=sys.stderr)
-                continue
-            except (OSError, ParseError) as exc:
-                print(f"{file}: {exc}", file=sys.stderr)
-                any_error = True
-                continue
-            violations.extend(run_rules(spec, cfg.rules, lexicon))
+        files = _spec_files(project, failed)
+        linted = _lint_files(files, project.name, cfg.rules, lexicon, failed, skip_non_specs=True)
+        violations = [violation for _, found in linted for violation in found]
         report = build_report(project.name, violations)
         reports.append(report)
         any_violation = any_violation or bool(report.violations)
 
     summary = aggregate(reports, total_projects=len(projects))
     _write(render(summary, cfg.output_format))
-    if any_error:
+    if failed:
         return EXIT_ERROR
     return EXIT_VIOLATIONS if any_violation else EXIT_CLEAN
 

@@ -76,7 +76,7 @@ def load_spec(source: bytes | BinaryIO, spec_id: str) -> ApiSpecification:
     diagnostics: list[str] = []  # the parser's, then the builder's
     doc = _parse_document(data, diagnostics)
     if not isinstance(doc, dict):
-        raise NotAnApiSpec(f"{spec_id}: document is not a JSON/YAML object")
+        raise NotAnApiSpec("document is not a JSON/YAML object")
     try:
         return _build_spec(doc, spec_id, diagnostics)
     except ValueError as exc:  # str() of a long YAML integer not written in decimal
@@ -729,9 +729,7 @@ def _build_spec(doc: Mapping[str, Any], spec_id: str, diagnostics: list[str]) ->
     elif "paths" in doc:
         build.diag("no 'swagger'/'openapi' version marker; assuming OpenAPI 3")
     else:
-        raise NotAnApiSpec(
-            f"{spec_id}: no 'paths' section and no 'swagger'/'openapi' version marker"
-        )
+        raise NotAnApiSpec("no 'paths' section and no 'swagger'/'openapi' version marker")
 
     build.requires_credentials = _requires_credentials(doc.get("security"))
     build.consumes = _media_list(doc.get("consumes"), build, "root", "consumes")

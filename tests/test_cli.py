@@ -223,6 +223,19 @@ class TestLintCommand:
         captured = capsys.readouterr()
         assert "clean.yaml" in captured.out  # the good file still got linted
 
+    def test_each_error_line_names_its_file_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("x.json").write_text('{"name": "demo"}', encoding="utf-8")
+        Path("list.json").write_text("[1, 2]", encoding="utf-8")
+        assert main(["lint", "x.json", "list.json", "missing.json", str(CLEAN)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "x.json: no 'paths' section and no 'swagger'/'openapi' version marker",
+            "list.json: document is not a JSON/YAML object",
+            f"missing.json: cannot read file: {os.strerror(errno.ENOENT)}",
+        ]
+        assert captured.out == f"{CLEAN}: 0 violations\n"
+
     def test_json_format_one_document_per_spec(self, capsys):
         assert main(["lint", str(CLEAN), str(CREATE_USER), "--format", "json"]) == 1
         lines = capsys.readouterr().out.strip().splitlines()
@@ -654,6 +667,45 @@ class TestAggregateCommand:
         assert capsys.readouterr() == ("", f"{root}: cannot list directory: "
                                            f"{os.strerror(errno.EACCES)}\n")
 
+    def test_unlistable_subdirectory_exits_two_and_others_still_lint(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # A spec the listing cannot reach must not leave its project counted as
+        # clean without a word. The listing fails by a patched os.scandir, which
+        # os.walk calls.
+        root = build_corpus(tmp_path)
+        hidden = root / "alpha" / "api"
+        hidden.mkdir()
+        shutil.copy(CREATE_USER, hidden / "users.json")
+        scandir = os.scandir
+
+        def refuse(path="."):
+            if os.fspath(path) == str(hidden):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refuse)
+        assert main(["aggregate", "--format", "csv", str(root)]) == EXIT_ERROR
+        assert capsys.readouterr() == (EXPECTED_CSV, f"{hidden}: cannot list directory: "
+                                                     f"{os.strerror(errno.EACCES)}\n")
+
+    def test_files_are_linted_in_path_order_and_directory_links_not_followed(self, tmp_path,
+                                                                             capsys):
+        # By path parts, x/y.yaml comes before x-y.json, though "/" sorts after "-".
+        root = tmp_path / "corpus"
+        (root / "p1" / "x").mkdir(parents=True)
+        (root / "p1" / "x" / "y.yaml").write_text("a: 1\n", encoding="utf-8")
+        (root / "p1" / "x-y.json").write_text('{"b": 2}', encoding="utf-8")
+        (tmp_path / "elsewhere").mkdir()
+        shutil.copy(CREATE_USER, tmp_path / "elsewhere" / "api.json")
+        (root / "p1" / "linked").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        assert main(["aggregate", "--format", "csv", str(root)]) == EXIT_CLEAN
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"skipping {root / 'p1' / 'x' / 'y.yaml'}: not an API description",
+            f"skipping {root / 'p1' / 'x-y.json'}: not an API description",
+        ]
+        assert all(row.endswith(",0,0,0") for row in captured.out.splitlines()[1:])
+
     def test_non_spec_files_skipped_with_notice(self, tmp_path, capsys):
         root = tmp_path / "corpus"
         (root / "p1").mkdir(parents=True)
@@ -816,20 +868,25 @@ class TestGarbageCollection:
         finally:
             (gc.enable if was_enabled else gc.disable)()
 
-    def test_aggregate_leaves_no_cyclic_garbage(self, tmp_path, capsys, collector_off):
+    @pytest.mark.parametrize("command", ["aggregate", "lint"])
+    def test_leaves_no_cyclic_garbage(self, tmp_path, capsys, collector_off, command):
         # A self-referencing YAML anchor makes a reference cycle, in the node
-        # graph of a failed parse and in the data of a skipped non-spec file;
-        # both come after the last linted file, so only a collection on the
-        # error and skip paths frees them.
+        # graph of a failed parse and in the data of a non-spec file; both come
+        # after the last linted file, so only a collection on the error and
+        # skip paths frees them.
         root = tmp_path / "corpus"
         (root / "p1").mkdir(parents=True)
         shutil.copy(CREATE_USER, root / "p1" / "api.json")
         shutil.copy(CLEAN, root / "p1" / "api.yaml")
         (root / "p1" / "broken.yaml").write_text("a: &x [*x]\nb: [\n", encoding="utf-8")
         (root / "p1" / "settings.yaml").write_text("&x [*x]\n", encoding="utf-8")
-        assert main(["aggregate", str(root)]) == EXIT_ERROR
+        files = [str(root / "p1" / name)
+                 for name in ("api.json", "api.yaml", "broken.yaml", "settings.yaml")]
+        assert main(["aggregate", str(root)] if command == "aggregate"
+                    else ["lint", *files]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert "broken.yaml" in err and "skipping" in err
+        assert "broken.yaml" in err and "settings.yaml" in err
+        assert ("skipping" in err) is (command == "aggregate")
         assert gc.collect() == 0
 
 
