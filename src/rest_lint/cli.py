@@ -22,7 +22,7 @@ from .lexicon import WordLexicon, default_lexicon, load_lexicon
 from .model import load_spec_file
 from .reporting import FORMATS, aggregate, build_report, render
 from .rules import RULE_ORDER, RuleConfig, RuleId, run_rules
-from .uri import Archetype
+from .uri import Archetype, tokenize_path
 
 LEXICON_ENV_VAR = "REST_LINT_LEXICON"
 
@@ -139,7 +139,14 @@ def _parse_override(entry: object, index: int) -> tuple[str, str, int, Archetype
         raise ConfigError(
             f"{where}: unknown archetype {entry['archetype']!r} (valid: {valid})"
         ) from None
-    return entry["spec_id"], entry["path"], segment_index, archetype
+    path = entry["path"]
+    if not path:
+        raise ConfigError(f"{where}: path must not be empty")
+    segments = len(tokenize_path(path).segments)  # split as the rules split a template
+    if segment_index >= segments:
+        raise ConfigError(f"{where}: segment_index {segment_index} is past the last segment "
+                          f"of {path!r}, which has {segments}")
+    return entry["spec_id"], path, segment_index, archetype
 
 
 def _resolve_lexicon(cfg: LintConfig) -> WordLexicon:

@@ -466,10 +466,15 @@ _NODE_STARTS = tuple((char, re.escape(char) + "(?<![^ \\n].)(?![\\]}])") for cha
 
 
 # The line reader splits the text this many characters at a time, so that no
-# list holds every line; and keeps the record of at most this many distinct line
-# texts a document, the size of uri._segment's cache.
+# list holds every line. Its memo, one for every document a process reads, as
+# uri._segment's cache is, holds the records of at most _LINE_MEMO distinct line
+# texts (that cache's size) of at most _LINE_CHARS characters; a new line met
+# when it is full clears it, at no cost per line. Threads may share it: a record
+# depends on its text alone, and a race at the bound adds at most one per thread.
 _LINE_SLICE = 1 << 16
 _LINE_MEMO = 4096
+_LINE_CHARS = 256
+_LINE_RECORDS: dict[str, tuple[Any, ...]] = {}
 _BLANK = ()  # the record of a blank or comment line
 _ABSENT = object()  # a record's key or value where its line has none
 _EMPTY = {"{}": dict, "[]": list}  # a record's value for these, built anew at each use
@@ -490,7 +495,8 @@ def _lines(text: str, pos: int) -> Iterable[str]:
 
 def _yaml_from_lines(text: str) -> Any:
     """Build a block-style document line by line, with no recursion: each distinct
-    line text is matched and digested once, up to _LINE_MEMO of them.
+    line text is matched and digested once per process, into a record that its
+    text alone decides, kept in _LINE_RECORDS within its bounds.
 
     Takes block mappings and sequences of one-line plain and quoted scalars,
     {} and [], and comments, and raises _HandOver at anything else. Scalars
@@ -518,8 +524,9 @@ def _yaml_from_lines(text: str) -> Any:
     start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
-    # key's column, and its key and value built or _ABSENT ({} and [] as their types).
-    memo: dict[str, tuple[Any, ...]] = {}
+    # key's column, and its key and value built or _ABSENT ({} and [] as their
+    # types). Every value is immutable, so documents may share a record.
+    memo = _LINE_RECORDS
     for line in _lines(text, start.end() if start else 0):
         record = memo.get(line)
         if record is None:
@@ -531,7 +538,9 @@ def _yaml_from_lines(text: str) -> Any:
                 at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
                 at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
                 _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
-            if len(memo) < _LINE_MEMO:
+            if len(line) <= _LINE_CHARS:
+                if len(memo) >= _LINE_MEMO:
+                    memo.clear()
                 memo[line] = record
         if record is _BLANK:
             continue

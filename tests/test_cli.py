@@ -297,6 +297,39 @@ class TestLintCommand:
             "configuration error: archetype_overrides: segment 2 of '/users/{id}/activation' in "
             "'s.json' is overridden under two spellings of its path, to different archetypes\n")
 
+    @pytest.mark.parametrize("path, index, message", [
+        ("/users", 9, "segment_index 9 is past the last segment of '/users', which has 1"),
+        ("/users/{id}/activation", 3,
+         "segment_index 3 is past the last segment of '/users/{id}/activation', which has 3"),
+        ("/", 0, "segment_index 0 is past the last segment of '/', which has 0"),
+        ("", 0, "path must not be empty"),
+    ], ids=["past-one-segment", "past-three-segments", "root", "empty-path"])
+    def test_config_override_that_can_never_apply_is_error(self, tmp_path, capsys, path, index,
+                                                          message):
+        # The override's own path shows, at load, that no template can match it.
+        cfg = write_config(tmp_path, {"archetype_overrides": [
+            {"spec_id": str(CREATE_USER), "path": "/users/{id}/activation", "segment_index": 2,
+             "archetype": "controller"},
+            {"spec_id": str(CREATE_USER), "path": path, "segment_index": index,
+             "archetype": "document"}]})
+        assert main(["lint", "--config", cfg, str(CREATE_USER)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: archetype_overrides[1]: {message}\n"
+
+    @pytest.mark.parametrize("path", ["users/{id}/activation", "/users/{id}/activation/"])
+    def test_config_override_path_is_split_as_a_template(self, tmp_path, capsys, path):
+        # No leading "/", or a trailing one, still leaves segment 2: each path splits
+        # as a spec's template of that text does, and may match one.
+        spec = dict(json.loads(OVERRIDDEN_SPEC), paths={path: {"post": {
+            "responses": {"204": {"description": "x"}}}}})
+        (tmp_path / "ov.json").write_text(json.dumps(spec), encoding="utf-8")
+        cfg = write_config(tmp_path, {"archetype_overrides": [
+            {"spec_id": str(tmp_path / "ov.json"), "path": path, "segment_index": 2,
+             "archetype": "controller"}]})
+        assert main(["lint", "--config", cfg, str(tmp_path / "ov.json")]) == EXIT_VIOLATIONS
+        assert "VerbController 'activation'" in capsys.readouterr().out
+
     @pytest.mark.parametrize("exempt, code, rules", [
         (None, EXIT_CLEAN, []), (False, EXIT_VIOLATIONS, ["NoUnderscores"]),
     ], ids=["default", "parameter-names-checked"])

@@ -783,6 +783,16 @@ def _block_texts():
                      ).map(render)
 
 
+# The fixture specs, which repeat many lines between them, and texts whose lines
+# many documents share: .nan keys, {} and [] values, in a mapping or a sequence.
+FIXTURE_YAML = [path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.yaml"))]
+_SHARED_VALUES = st.one_of(
+    st.lists(st.sampled_from([".nan: {}", ".NaN: []", ".nan: a", "a: {}", "a: []", "b: .nan",
+                              "c:", "  .nan: {}", "  - []"]), min_size=1, max_size=6),
+    st.lists(st.sampled_from(["- {}", "- []", "- .nan", "- a: {}", "- .nan: []", "  b: []"]),
+             min_size=1, max_size=6),
+).map(lambda lines: "\n".join(lines) + "\n")
+
 # The event loop needs LibYAML; the line reader and the pure-Python parser do not.
 needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML lacks LibYAML")
 FAST_READERS = (model._yaml_from_lines,) + ((model._yaml_from_events,) if yaml.__with_libyaml__
@@ -1035,9 +1045,15 @@ class TestYamlLoaders:
             assert list(model._lines(text, pos)) == text[pos:].split("\n")
 
     def test_line_reader_matches_each_distinct_line_once(self, monkeypatch):
+        # One memo for every document of the process: each distinct line is
+        # matched once across documents, within the memo's two bounds.
+        monkeypatch.setattr(model, "_LINE_RECORDS", {})
         distinct = [f"- v{i}\n" for i in range(5_000)]
-        text = "- x\n" * 10_000 + "".join(distinct)
-        pure = yaml.load(text, Loader=model._pure_loader())
+        long, capped = ("- " + "v" * (model._LINE_CHARS - 2 + extra) for extra in (1, 0))
+        texts = ["- x\n" * 10_000 + "".join(distinct[:1_000]), "".join(distinct[:2_000]) + "- x\n",
+                 "".join(distinct[:2_000]) + "- x\n", f"{long}\n{capped}\n" * 3,
+                 "- x\n" * 10_000 + "".join(distinct)]
+        pure = [yaml.load(text, Loader=model._pure_loader()) for text in texts]
         matched = []
 
         def compile(pattern, flags=0):
@@ -1048,21 +1064,76 @@ class TestYamlLoaders:
                 fullmatch=lambda line: matched.append(line) or compiled.fullmatch(line))
 
         monkeypatch.setattr(model, "re", types.SimpleNamespace(compile=compile))
-        assert repr(model._yaml_from_lines(text)) == repr(pure)
-        # "- x", the 5,000 distinct lines and the empty one after the last "\n".
-        assert len(matched) == len(set(matched)) == 5_002
-        # The memo keeps the first _LINE_MEMO distinct lines: a line first met
-        # after them is matched each time it comes.
-        for before, times in [(model._LINE_MEMO - 1, 1), (model._LINE_MEMO, 100)]:
+        runs = []
+        for text, expected in zip(texts[:4], pure):
             matched.clear()
-            model._yaml_from_lines("".join(distinct[:before]) + "- x\n" * 100)
-            assert matched.count("- x") == times
+            assert repr(model._yaml_from_lines(text)) == repr(expected)
+            runs.append(list(matched))
+        # "- x", 1,000 distinct lines and the empty one after the last "\n"; then
+        # the next 1,000 only; then none, for the same lines again.
+        assert [len(run) for run in runs[:3]] == [1_002, 1_000, 0]
+        # A line over the cap is matched each time it comes, one at the cap once,
+        # and only lines within the cap are held.
+        assert runs[3] == [long, capped, long, long]
+        assert set(model._LINE_RECORDS) == set(runs[0] + runs[1] + [capped])
+        # A full memo: the next new line clears it, is matched once and then looked
+        # up, and a line held before the clear is matched again.
+        model._LINE_RECORDS.clear()
+        model._yaml_from_lines("".join(distinct[:model._LINE_MEMO - 1]))  # and ""
+        assert len(model._LINE_RECORDS) == model._LINE_MEMO
+        matched.clear()
+        model._yaml_from_lines("- new\n" * 100 + distinct[0])
+        assert matched == ["- new", "- v0", ""]
+        assert set(model._LINE_RECORDS) == set(matched)
+        # A document of more distinct lines than the memo holds: each matched once,
+        # the memo cleared once, at its 4,097th.
+        model._LINE_RECORDS.clear()
+        matched.clear()
+        assert repr(model._yaml_from_lines(texts[4])) == repr(pure[4])
+        assert len(matched) == len(set(matched)) == 5_002
+        assert len(model._LINE_RECORDS) == 5_002 - model._LINE_MEMO
+
+    def test_line_memo_is_bounded_whatever_the_input(self, monkeypatch):
+        # What the memo keeps between documents: at most _LINE_MEMO records, of
+        # lines of at most _LINE_CHARS characters, however many and long the lines.
+        monkeypatch.setattr(model, "_LINE_RECORDS", {})
+        for width in (1, 100, 255, 300, 5_000):
+            lines = "".join(f"k{i}: {'v' * width}\n" for i in range(6_000))
+            assert len(model._yaml_from_lines(lines)) == 6_000
+            assert len(model._LINE_RECORDS) <= model._LINE_MEMO
+            assert max(map(len, model._LINE_RECORDS), default=0) <= model._LINE_CHARS
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(FIXTURE_YAML), _block_texts(), _SHARED_VALUES),
+                    min_size=2, max_size=6),
+           st.sampled_from([model._LINE_MEMO, 4, 1]))
+    def test_parse_does_not_depend_on_documents_read_before(self, texts, size):
+        # Texts parsed one after another through one memo, full or clearing often,
+        # read as each does through an empty memo.
+        def parsed(text: str) -> tuple:
+            notes: list[str] = []
+            try:
+                doc = model._parse_document(text.encode("utf-8"), notes)
+            except ParseError as exc:
+                return ("error", str(exc), exc.position, notes)
+            return ("document", repr(doc), _duplicate_keys(doc), notes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_LINE_RECORDS", {})
+            patch.setattr(model, "_LINE_MEMO", size)
+            shared = [parsed(text) for text in texts]
+            assert len(model._LINE_RECORDS) <= size
+            alone = []
+            for text in texts:
+                patch.setattr(model, "_LINE_RECORDS", {})
+                alone.append(parsed(text))
+        assert shared == alone
 
     @pytest.mark.parametrize("text", ["a: {}\nb: {}\n", "a: []\nb: []\n", "- a: {}\n- a: {}\n",
                                       "- []\n- []\n", "x:\n  k: {}\ny:\n  k: {}\n"],
                              ids=["map", "seq", "repeated-map-line", "repeated-seq-line",
                                   "repeated-key-line"])
-    def test_equal_empty_containers_are_distinct(self, text):
+    def test_equal_empty_containers_are_distinct(self, text, monkeypatch):
         def empties(node) -> list:
             children = node.values() if isinstance(node, dict) else node
             return [node] if not node else [empty for child in children
@@ -1073,6 +1144,13 @@ class TestYamlLoaders:
         for doc in [read(text) for read in FAST_READERS] + [pure]:
             first, second = empties(doc)
             assert first == second and first is not second
+        # The line memo outlives a document: "a: {}" in one, then the text in
+        # two more, still give a new container at each use.
+        monkeypatch.setattr(model, "_LINE_RECORDS", {})
+        docs = [model._yaml_from_lines(doc) for doc in ("a: {}\n", text, text)]
+        found = [empty for doc in docs for empty in empties(doc)]
+        assert len(found) == len({id(empty) for empty in found}) == 5
+        assert found[0] == {} and found[3:] == found[1:3]
 
     def test_scalar_table_makes_each_value_once(self):
         table = model._Scalars()
