@@ -186,9 +186,12 @@ def _discard_stdout() -> None:
     """Point fd 1 at devnull, so that the flush at exit drops what is left, quietly."""
     if sys.stdout is not None:
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            stdout, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
         except OSError:  # a stdout without a file descriptor holds what is left itself
-            pass
+            return
+        if devnull != stdout:  # else stdout's descriptor was closed, and devnull took its number
+            os.dup2(devnull, stdout)
+            os.close(devnull)
 
 
 def _overrides_by_path(rules: RuleConfig, paths: list[str]) -> RuleConfig:

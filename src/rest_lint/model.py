@@ -97,22 +97,45 @@ def load_spec_file(path: str | Path, spec_id: str | None = None) -> ApiSpecifica
 class _KeyedDict(dict):
     """Mapping whose text repeats a key: the first value is kept, the repeats recorded."""
 
-    __slots__ = ("duplicate_keys",)
-    duplicate_keys: tuple[Any, ...]
+    __slots__ = ("repeats",)
+    repeats: list[Any]  # appended to as they are read, so that each costs O(1)
+
+    @property
+    def duplicate_keys(self) -> tuple[Any, ...]:
+        return tuple(self.repeats)
+
+
+def _repeat(mapping: dict[Any, Any], key: Any) -> _KeyedDict:
+    """The one rule for a key met again in a mapping: its first value stays, and the
+    key joins duplicate_keys, in text order. A second "<<" is handed over."""
+    if key is _MERGE:
+        raise _HandOver
+    if type(mapping) is dict:
+        mapping = _KeyedDict(mapping)
+        mapping.repeats = []
+    mapping.repeats.append(key)
+    return mapping
 
 
 def _keyed_from_pairs(pairs: list[tuple[Any, Any]]) -> dict[Any, Any]:
     mapping = dict(pairs)  # keeps the last value of a repeated key
     if len(mapping) != len(pairs):
-        mapping = _KeyedDict()
-        duplicates = []
+        mapping = {}
         for key, value in pairs:
             if key in mapping:
-                duplicates.append(key)
+                mapping = _repeat(mapping, key)
             else:
                 mapping[key] = value
-        mapping.duplicate_keys = tuple(duplicates)
     return mapping
+
+
+def _merge(mapping: dict[Any, Any], value: Any) -> None:
+    """The one rule for a "<<" value, a mapping or a list of mappings: explicit keys
+    win over merged ones wherever they stand, and of merged mappings the earlier one
+    wins, so a merged key is never a duplicate."""
+    for source in value if isinstance(value, list) else [value]:
+        for merged_key, merged_value in source.items():  # fails on a non-mapping
+            mapping.setdefault(merged_key, merged_value)
 
 
 _MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
@@ -137,13 +160,9 @@ _JSON_VALUE_START = re.compile(r'[ \t\n\r]*(?:[{\["0-9]|-[0-9I]|true|false|null|
 
 
 def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
-    """Keep-first mapping of keys alternating with their values; a "<<" key,
-    given as _MERGE, holds a mapping or a list of mappings whose keys are added
-    where the mapping lacks them.
-
-    Explicit keys win over merged ones wherever they stand, and of merged
-    mappings the earlier one wins, so a merged key is never a duplicate.
-    """
+    """The mapping of keys alternating with their values, as the event loop and
+    the pure-Python loader gather them: a repeated key by _repeat's rule, and
+    each "<<" key, given as _MERGE, by _merge's, in text order."""
     if len(items) == 2 and items[0] is not _MERGE:  # one key, as most: cheaper than zip
         return {items[0]: items[1]}
     if len(items) == 4:  # two distinct keys, neither "<<": a display is cheaper than zip
@@ -157,17 +176,15 @@ def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
         mapping = _keyed_from_pairs([pair for pair in pairs if pair[0] is not _MERGE])
         for key, value in pairs:
             if key is _MERGE:
-                for source in value if isinstance(value, list) else [value]:
-                    for merged_key, merged_value in source.items():  # fails on a non-mapping
-                        mapping.setdefault(merged_key, merged_value)
+                _merge(mapping, value)
     return mapping
 
 
 @functools.cache
 def _pure_loader() -> Any:
-    """PyYAML's pure-Python SafeLoader, building mappings with _keyed_flat: the
-    fallback, and the parser whose errors stand. Built, and PyYAML imported, on
-    first need."""
+    """PyYAML's pure-Python SafeLoader, building mappings with _keyed_flat, so by
+    the repeat and merge rules the fast readers apply: the fallback, and the
+    parser whose errors stand. Built, and PyYAML imported, on first need."""
     import yaml
 
     class _DupSafeLoader(yaml.SafeLoader):
@@ -477,6 +494,7 @@ _LINE_CHARS = 256
 _LINE_RECORDS: dict[str, tuple[Any, ...]] = {}
 _BLANK = ()  # the record of a blank or comment line
 _ABSENT = object()  # a record's key or value where its line has none
+_END = (-1, (), -1, _ABSENT, _ABSENT)  # the record after the last line
 _EMPTY = {"{}": dict, "[]": list}  # a record's value for these, built anew at each use
 
 
@@ -494,9 +512,9 @@ def _lines(text: str, pos: int) -> Iterable[str]:
 
 
 def _yaml_from_lines(text: str) -> Any:
-    """Build a block-style document line by line, with no recursion: each distinct
-    line text is matched and digested once per process, into a record that its
-    text alone decides, kept in _LINE_RECORDS within its bounds.
+    """Build a block-style document line by line, with no recursion, storing each
+    value in its mapping or sequence once it is whole: each distinct line text is
+    matched and digested once per process, into a record kept in _LINE_RECORDS.
 
     Takes block mappings and sequences of one-line plain and quoted scalars,
     {} and [], and comments, and raises _HandOver at anything else. Scalars
@@ -515,75 +533,84 @@ def _yaml_from_lines(text: str) -> Any:
     if not text.isascii() and any(char in text for char in _WIDE_NOT_TEXT):
         raise _HandOver
     scalars = _Scalars()
-    stack: list[tuple[int, list[Any], bool, bool]] = []
-    # The open node: its column, its values (keys alternating with values in a
-    # mapping), whether it is a mapping, and whether it is a sequence at its
-    # key's column. The root is a column -1 node that holds the document.
-    col, items, is_map, indentless = -1, [], False, False
+    stack: list[tuple[int, Any, bool, bool, Any]] = []
+    # The open node: its column, its dict or list, whether it is a mapping, whether
+    # it is a sequence at its key's column, and a mapping's key that awaits a value.
+    # The root is a column -1 list that holds the document.
+    col, node, is_map, indentless, key_wait = -1, [], False, False, None
     slot = True  # the open node awaits a value: the document, a key's or an entry's
+    last = None  # the last line's value, stored when the next line does not open a node
     start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
     # key's column, and its key and value built or _ABSENT ({} and [] as their
     # types). Every value is immutable, so documents may share a record.
     memo = _LINE_RECORDS
-    for line in _lines(text, start.end() if start else 0):
+    for line in itertools.chain(_lines(text, start.end() if start else 0), (None,)):
         record = memo.get(line)
         if record is None:
-            indent, dashes, key, value, other = match(line).groups()
-            if other is not None or key is not None and len(key) > 1024 or value == "<<":
-                raise _HandOver  # a line it does not read, a key too long, a plain "<<" value
-            at = len(indent)
-            record = _BLANK if key is None and value is None and not dashes else (
-                at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
-                at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
-                _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
-            if len(line) <= _LINE_CHARS:
-                if len(memo) >= _LINE_MEMO:
-                    memo.clear()
-                memo[line] = record
+            if line is None:  # the end of the text, which closes every node
+                record = _END
+            else:
+                indent, dashes, key, value, other = match(line).groups()
+                if other is not None or key is not None and len(key) > 1024 or value == "<<":
+                    raise _HandOver  # a line it does not read, a key too long, a plain "<<" value
+                at = len(indent)
+                record = _BLANK if key is None and value is None and not dashes else (
+                    at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
+                    at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
+                    _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
+                if len(line) <= _LINE_CHARS:
+                    if len(memo) >= _LINE_MEMO:
+                        memo.clear()
+                    memo[line] = record
         if record is _BLANK:
             continue
         at, dashes, key_col, key, value = record
         # The line's first node is the open node's value, or else its next key or entry.
         opens = slot and (at > col or at == col and is_map and dashes)
-        if not opens:
-            if slot:  # an empty value
-                items.append(None)
+        if not opens:  # the open node's value, the last line's or an empty one, is whole
+            if not is_map:
+                node.append(last)
+            elif key_wait in node:
+                node = _repeat(node, key_wait)
+            else:
+                node[key_wait] = last
             while at < col or indentless and at == col and not dashes:
-                node = _keyed_flat(items) if is_map else items
-                col, items, is_map, indentless = stack.pop()
-                items.append(node)
+                child = node
+                if is_map and _MERGE in child:
+                    _merge(child, child.pop(_MERGE))
+                col, node, is_map, indentless, key_wait = stack.pop()
+                if not is_map:
+                    node.append(child)
+                elif key_wait in node:
+                    node = _repeat(node, key_wait)
+                else:
+                    node[key_wait] = child
             if at != col or (is_map if dashes else not is_map or key is _ABSENT):
+                if record is _END:
+                    return node[0]
                 raise _HandOver  # misaligned, a continued scalar, or the wrong node
         if dashes:  # most lines have none, and the test is cheaper than an empty loop
             for dash in dashes:
                 if opens or dash != at:  # each "- " opens a sequence
                     if len(stack) == _MAX_EVENT_DEPTH:
                         raise _HandOver
-                    stack.append((col, items, is_map, indentless))
-                    col, items, is_map, indentless = dash, [], False, dash == col
+                    stack.append((col, node, is_map, indentless, key_wait))
+                    col, node, is_map, indentless = dash, [], False, dash == col
         if key is not _ABSENT:
             if opens or dashes:  # the first key of a mapping
                 if len(stack) == _MAX_EVENT_DEPTH:
                     raise _HandOver
-                stack.append((col, items, is_map, indentless))
-                col, items, is_map, indentless = key_col, [], True, False
-            items.append(key)
+                stack.append((col, node, is_map, indentless, key_wait))
+                col, node, is_map, indentless = key_col, {}, True, False
+            key_wait = key
         slot = value is _ABSENT
-        if not slot:
-            if value is dict or value is list:
-                if len(stack) == _MAX_EVENT_DEPTH:
-                    raise _HandOver
-                value = value()
-            items.append(value)
-    if slot:
-        items.append(None)
-    while stack:
-        node = _keyed_flat(items) if is_map else items
-        col, items, is_map, indentless = stack.pop()
-        items.append(node)
-    return items[0]
+        last = None if slot else value
+        if value is dict or value is list:
+            if len(stack) == _MAX_EVENT_DEPTH:
+                raise _HandOver
+            last = value()
 
 
 # False leaves all text to the pure-Python loader: the one seam tests use.

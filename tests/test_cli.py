@@ -507,6 +507,28 @@ class TestLintCommand:
         assert first.startswith(b'{"spec_id":')
         assert (proc.returncode, stderr) == (EXIT_STDOUT_CLOSED, b"")
 
+    def test_closed_pipe_leaves_no_descriptor_open(self, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        real_open = os.open
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = io.TextIOWrapper(io.FileIO(write_end, "w"), "utf-8")
+        monkeypatch.setattr(os, "open", recording_open)
+        try:
+            with contextlib.redirect_stdout(out):
+                assert main(["lint", str(CREATE_USER)]) == EXIT_STDOUT_CLOSED
+            assert opened
+            for fd in opened:  # devnull, closed once stdout points to it
+                with pytest.raises(OSError):
+                    os.fstat(fd)
+        finally:
+            out.close()  # what is left goes to devnull
+
     def test_short_writes_still_write_every_byte(self):
         class ShortWrites(io.BytesIO):
             def write(self, data) -> int:  # takes at most 7 bytes, as write(2) may take fewer

@@ -652,9 +652,11 @@ _YAML_KEYS = st.sampled_from(
     ["a", "b", "c", "<<", "<<", "1", "true", "~", "'a'", "[x, y]", "{k: v}", "*a", "&b a",
      "!!str 1", ".nan"]
 )
-# Two-key mappings that _keyed_flat must not build as a display: equal keys (1 and
-# true, a repeated key), two NaNs (one float object, though a NaN equals no other
-# NaN) and a "<<" before or after a key; and two distinct keys, which it builds so.
+# Two-key mappings for the repeat and merge rules: equal keys (1 and true, a
+# repeated key), two NaNs (one float object, though a NaN equals no other NaN) and
+# a "<<" before or after a key, which _keyed_flat must not build as a display and
+# the line reader must not store as a plain key; and two distinct keys, which
+# _keyed_flat builds so.
 _KEY_PAIRS = [("1", "true"), (".nan", ".NaN"), ("<<", "a"), ("a", "<<"), ("a", "a"), ("a", "b")]
 
 
@@ -1002,6 +1004,17 @@ class TestYamlLoaders:
         (b"a:\n  <<: {}\n  k: v\n", True, ("document", "{'a': {'k': 'v'}}", [[], []])),
         (b"a: 1\na: 2\n", True, ("document", "{'a': 1}", [["a"]])),
         (b"a: 1\nb: 2\n", True, ("document", "{'a': 1, 'b': 2}", [[]])),
+        # The line reader stores each value as it arrives; a repeated key's first
+        # value stays, whether it or the repeat's is a nested node or empty, and
+        # a "<<" is merged when its mapping closes. A second "<<" is handed over.
+        (b"a:\n  b: 1\na: 2\n", True, ("document", "{'a': {'b': 1}}", [["a"], []])),
+        (b"a: 1\na:\n  b: 2\n", True, ("document", "{'a': 1}", [["a"]])),
+        (b"a:\na: 1\n", True, ("document", "{'a': None}", [["a"]])),
+        (b"- a: 1\n  a: 2\n", True, ("document", "[{'a': 1}]", [["a"]])),
+        (b"a:\n  j: 0\n  <<:\n    k: 1\n    j: 2\n    m: 2\n  k: 3\n", True,
+         ("document", "{'a': {'j': 0, 'k': 3, 'm': 2}}", [[], []])),
+        (b"<<:\n  a: 1\n  b: 1\n<<:\n  b: 2\n  c: 2\n", False,
+         ("document", "{'a': 1, 'b': 1, 'c': 2}", [[]])),
     ], ids=["dash-word", "negative-entry", "key-in-value", "colon-in-key", "hash-in-value",
             "continued-scalar", "deeper-key",
             "document-start", "key-of-1024", "quoted-key-of-1025", "key-after-key-column-sequence",
@@ -1014,7 +1027,9 @@ class TestYamlLoaders:
             "one-record-two-maps", "tab-in-comment", "tab-in-comment-line", "tab-in-single-quoted",
             "tab-in-quoted-key-and-escape", "tab-in-plain", "tab-after-colon",
             "tab-before-comment", "date", "two-keys-1-and-true", "two-keys-nan",
-            "two-keys-merge", "two-keys-repeated", "two-keys-distinct"])
+            "two-keys-merge", "two-keys-repeated", "two-keys-distinct",
+            "repeated-after-nested", "repeated-with-nested", "repeated-after-empty",
+            "repeated-in-compact-entry", "merge-nested-overridden", "two-merge-keys"])
     def test_line_reader_cases(self, raw, taken, expected):
         text = raw.decode("utf-8")
         try:
