@@ -218,11 +218,14 @@ def _overrides_by_path(rules: RuleConfig, paths: list[str]) -> RuleConfig:
 def _lint_files(files: Iterable[str | Path], spec_id: str | None, rules: RuleConfig,
                 lexicon: WordLexicon, failed: list, skip_non_specs: bool = False) -> Iterator:
     """Yield (file, violations) per API description, named spec_id or else its path.
-    Any other file gets a stderr line and joins failed, or only a `skipping` line if
-    skip_non_specs and it is no API description. Each file ends in a gen-0 collection."""
+    Any other file gets a stderr line and joins failed, or if skip_non_specs only a
+    `skipping` line if it is no API description, and none if it is no regular file,
+    such as a broken link. Each file ends in a gen-0 collection."""
     skipped = NotAnApiSpec if skip_non_specs else ()  # an empty tuple catches nothing
     for file in files:
         try:
+            if skip_non_specs and not Path(file).is_file():  # a refused stat is a refused read
+                continue
             spec = load_spec_file(file, spec_id)
         except skipped:
             print(f"skipping {file}: not an API description", file=sys.stderr)
@@ -257,15 +260,15 @@ def cmd_lint(paths: list[str], cfg: LintConfig) -> int:
 
 
 def _spec_files(project: Path, failed: list) -> list[Path]:
-    """The spec files under project, in path order, through links to files but
-    not to directories. A directory that cannot be listed joins failed."""
+    """The paths with a spec suffix under project, in path order, not through links
+    to directories. A directory that cannot be listed joins failed."""
     def unlistable(exc: OSError) -> None:
         print(f"{exc.filename}: cannot list directory: {exc.strerror or exc}", file=sys.stderr)
         failed.append(exc.filename)
 
     files = (Path(top, name) for top, _, names in os.walk(project, onerror=unlistable)
              for name in names)
-    return sorted(file for file in files if file.is_file() and file.suffix in _SPEC_SUFFIXES)
+    return sorted(file for file in files if file.suffix in _SPEC_SUFFIXES)
 
 
 def cmd_aggregate(root: str, cfg: LintConfig) -> int:

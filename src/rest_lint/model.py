@@ -142,6 +142,7 @@ _MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
 _MERGE_TAG = "tag:yaml.org,2002:merge"
 _MERGE = object()  # a "<<" key until its mapping is built
 _OPEN = object()  # anchor table entry of a container still open
+_ABSENT = object()  # a key not yet read, or a line record's key or value where it has none
 _MAX_EVENT_DEPTH = 100  # deeper documents are left to the pure-Python loader
 
 # LibYAML reads tabs and a byte order mark inside the text where the
@@ -159,37 +160,17 @@ _JSON_START = re.compile(r"\s*[{\[]")
 _JSON_VALUE_START = re.compile(r'[ \t\n\r]*(?:[{\["0-9]|-[0-9I]|true|false|null|NaN|Infinity)')
 
 
-def _keyed_flat(items: list[Any]) -> dict[Any, Any]:
-    """The mapping of keys alternating with their values, as the event loop and
-    the pure-Python loader gather them: a repeated key by _repeat's rule, and
-    each "<<" key, given as _MERGE, by _merge's, in text order."""
-    if len(items) == 2 and items[0] is not _MERGE:  # one key, as most: cheaper than zip
-        return {items[0]: items[1]}
-    if len(items) == 4:  # two distinct keys, neither "<<": a display is cheaper than zip
-        k1, v1, k2, v2 = items
-        if k1 is not k2 and k1 != k2 and k1 is not _MERGE and k2 is not _MERGE:
-            return {k1: v1, k2: v2}
-    pairs = iter(items)
-    mapping = dict(zip(pairs, pairs))
-    if 2 * len(mapping) != len(items) or _MERGE in mapping:
-        pairs = list(zip(*[iter(items)] * 2))
-        mapping = _keyed_from_pairs([pair for pair in pairs if pair[0] is not _MERGE])
-        for key, value in pairs:
-            if key is _MERGE:
-                _merge(mapping, value)
-    return mapping
-
-
 @functools.cache
 def _pure_loader() -> Any:
-    """PyYAML's pure-Python SafeLoader, building mappings with _keyed_flat, so by
-    the repeat and merge rules the fast readers apply: the fallback, and the
-    parser whose errors stand. Built, and PyYAML imported, on first need."""
+    """PyYAML's pure-Python SafeLoader, filling each mapping in place by _repeat,
+    then merging its "<<" sources by _merge, as the fast readers do: the fallback,
+    and the parser whose errors stand. Built, and PyYAML imported, on first need."""
     import yaml
 
     class _DupSafeLoader(yaml.SafeLoader):
         def construct_keyed_mapping(self, node: Any) -> dict[Any, Any]:
-            items: list[Any] = []
+            mapping: dict[Any, Any] = {}
+            merged: list[Any] = []  # the "<<" sources, in text order
             for key_node, value_node in node.value:
                 if key_node.tag == _MERGE_TAG:
                     is_list = isinstance(value_node, yaml.SequenceNode)
@@ -200,16 +181,20 @@ def _pure_loader() -> Any:
                             "expected a mapping or list of mappings for merging",
                             value_node.start_mark,
                         )
-                    items += (_MERGE, [self.construct_object(source, deep=True)
-                                       for source in sources])
+                    merged += [self.construct_object(source, deep=True) for source in sources]
                     continue
                 key = self.construct_object(key_node, deep=True)
                 try:
                     hash(key)
                 except TypeError:
                     key = str(key)
-                items += (key, self.construct_object(value_node, deep=True))
-            return _keyed_flat(items)
+                value = self.construct_object(value_node, deep=True)
+                if key in mapping:
+                    mapping = _repeat(mapping, key)
+                else:
+                    mapping[key] = value
+            _merge(mapping, merged)
+            return mapping
 
     _DupSafeLoader.add_constructor(_MAP_TAG, _DupSafeLoader.construct_keyed_mapping)
     return _DupSafeLoader
@@ -384,9 +369,11 @@ def _yaml_from_events(text: str) -> Any:
     get_event = loader.get_event
     scalars = _Scalars()
     anchors: dict[str, Any] = {}
-    stack: list[tuple[list[Any], bool, bool, str | None]] = []
-    items: list[Any] = []  # the open container's values, for a mapping alternating with keys
-    is_map = flow = False
+    stack: list[tuple[Any, bool, bool, Any, str | None]] = []
+    # The open node: its dict or list, whether it is a mapping, whether it is in flow
+    # style, and a mapping's key that awaits a value. The root is a list that holds
+    # the document. Each stack entry holds a node's parent, as these four, and its anchor.
+    node, is_map, flow, key = [], False, False, _ABSENT
     try:
         get_event()  # stream start
         event = get_event()
@@ -410,13 +397,12 @@ def _yaml_from_events(text: str) -> Any:
                 if tag is not None:
                     value = _scalar(tag, value)
                 anchor = event.anchor
-                if value is _MERGE and (not is_map or len(items) % 2 or anchor is not None):
+                if value is _MERGE and (not is_map or key is not _ABSENT or anchor is not None):
                     raise _HandOver  # "<<" other than as a plain mapping key
                 if anchor is not None:
                     if anchor in anchors:
                         raise _HandOver  # PyYAML fails on a repeated anchor
                     anchors[anchor] = value
-                items.append(value)
             elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
                 tag, anchor, opens_map = event.tag, event.anchor, kind is yaml.MappingStartEvent
                 if tag is not None and tag != (_MAP_TAG if opens_map else _SEQ_TAG):
@@ -425,25 +411,37 @@ def _yaml_from_events(text: str) -> Any:
                     raise _HandOver
                 if anchor is not None:
                     anchors[anchor] = _OPEN
-                stack.append((items, is_map, flow, anchor))
-                items, is_map, flow = [], opens_map, event.flow_style
+                stack.append((node, is_map, flow, key, anchor))
+                is_map, flow, key = opens_map, event.flow_style, _ABSENT
+                node = {} if is_map else []
+                continue
             elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-                # An unhashable (complex) key raises TypeError: PyYAML keys it by its
-                # str() before an aliased sequence in it may be filled.
-                value = _keyed_flat(items) if is_map else items
-                items, is_map, flow, anchor = stack.pop()
+                value = node
+                if is_map and _MERGE in value:
+                    _merge(value, value.pop(_MERGE))
+                node, is_map, flow, key, anchor = stack.pop()
                 if anchor is not None:
                     anchors[anchor] = value
-                items.append(value)
             elif kind is yaml.AliasEvent:
                 value = anchors.get(event.anchor, _OPEN)
                 if value is _OPEN:
                     raise _HandOver  # undefined, or a container still open
-                items.append(value)
             else:  # document end
                 if not isinstance(get_event(), yaml.StreamEndEvent):
                     raise _HandOver
-                return items[0]
+                return node[0]
+            # The value is whole. An unhashable (complex) key raises TypeError: PyYAML
+            # keys it by its str() before an aliased sequence in it may be filled.
+            if not is_map:
+                node.append(value)
+            elif key is _ABSENT:
+                key = value
+            else:
+                if key in node:
+                    node = _repeat(node, key)
+                else:
+                    node[key] = value
+                key = _ABSENT
     finally:
         loader.dispose()
 
@@ -492,9 +490,8 @@ _LINE_SLICE = 1 << 16
 _LINE_MEMO = 4096
 _LINE_CHARS = 256
 _LINE_RECORDS: dict[str, tuple[Any, ...]] = {}
-_BLANK = ()  # the record of a blank or comment line
-_ABSENT = object()  # a record's key or value where its line has none
-_END = (-1, (), -1, _ABSENT, _ABSENT)  # the record after the last line
+_BLANK = ()  # the record of a blank or comment line, the one record that is false
+_END = (-1, (), -1, _ABSENT, _ABSENT, False)  # the record after the last line
 _EMPTY = {"{}": dict, "[]": list}  # a record's value for these, built anew at each use
 
 
@@ -543,8 +540,9 @@ def _yaml_from_lines(text: str) -> Any:
     start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
-    # key's column, and its key and value built or _ABSENT ({} and [] as their
-    # types). Every value is immutable, so documents may share a record.
+    # key's column, its key and value built or _ABSENT ({} and [] as their types),
+    # and whether that value is {} or []. Every value is immutable, so documents
+    # may share a record.
     memo = _LINE_RECORDS
     for line in itertools.chain(_lines(text, start.end() if start else 0), (None,)):
         record = memo.get(line)
@@ -557,36 +555,33 @@ def _yaml_from_lines(text: str) -> Any:
                     raise _HandOver  # a line it does not read, a key too long, a plain "<<" value
                 at = len(indent)
                 record = _BLANK if key is None and value is None and not dashes else (
-                    at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
+                    at, tuple(i for i, char in enumerate(dashes, at) if char == "-") if dashes else (),
                     at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
-                    _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
+                    _ABSENT if value is None else _EMPTY.get(value) or scalars[value],
+                    value in _EMPTY)
                 if len(line) <= _LINE_CHARS:
                     if len(memo) >= _LINE_MEMO:
                         memo.clear()
                     memo[line] = record
-        if record is _BLANK:
+        if not record:  # a blank or comment line
             continue
-        at, dashes, key_col, key, value = record
+        at, dashes, key_col, key, value, empty = record
         # The line's first node is the open node's value, or else its next key or entry.
         opens = slot and (at > col or at == col and is_map and dashes)
         if not opens:  # the open node's value, the last line's or an empty one, is whole
-            if not is_map:
-                node.append(last)
-            elif key_wait in node:
-                node = _repeat(node, key_wait)
-            else:
-                node[key_wait] = last
-            while at < col or indentless and at == col and not dashes:
-                child = node
-                if is_map and _MERGE in child:
-                    _merge(child, child.pop(_MERGE))
-                col, node, is_map, indentless, key_wait = stack.pop()
+            while True:  # store it, then each node the line closes, in its parent
                 if not is_map:
-                    node.append(child)
+                    node.append(last)
                 elif key_wait in node:
                     node = _repeat(node, key_wait)
                 else:
-                    node[key_wait] = child
+                    node[key_wait] = last
+                if not (at < col or indentless and at == col and not dashes):
+                    break
+                last = node
+                if is_map and _MERGE in last:
+                    _merge(last, last.pop(_MERGE))
+                col, node, is_map, indentless, key_wait = stack.pop()
             if at != col or (is_map if dashes else not is_map or key is _ABSENT):
                 if record is _END:
                     return node[0]
@@ -594,23 +589,17 @@ def _yaml_from_lines(text: str) -> Any:
         if dashes:  # most lines have none, and the test is cheaper than an empty loop
             for dash in dashes:
                 if opens or dash != at:  # each "- " opens a sequence
-                    if len(stack) == _MAX_EVENT_DEPTH:
-                        raise _HandOver
                     stack.append((col, node, is_map, indentless, key_wait))
                     col, node, is_map, indentless = dash, [], False, dash == col
         if key is not _ABSENT:
             if opens or dashes:  # the first key of a mapping
-                if len(stack) == _MAX_EVENT_DEPTH:
-                    raise _HandOver
                 stack.append((col, node, is_map, indentless, key_wait))
                 col, node, is_map, indentless = key_col, {}, True, False
             key_wait = key
+        if len(stack) + empty > _MAX_EVENT_DEPTH:  # {} or [] is one container more
+            raise _HandOver
         slot = value is _ABSENT
-        last = None if slot else value
-        if value is dict or value is list:
-            if len(stack) == _MAX_EVENT_DEPTH:
-                raise _HandOver
-            last = value()
+        last = value() if empty else None if slot else value
 
 
 # False leaves all text to the pure-Python loader: the one seam tests use.

@@ -743,6 +743,28 @@ class TestAggregateCommand:
         assert capsys.readouterr() == (EXPECTED_CSV, f"{hidden}: cannot list directory: "
                                                      f"{os.strerror(errno.EACCES)}\n")
 
+    def test_unsearchable_file_exits_two_and_others_still_lint(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # A directory that can be listed but not searched (mode r--) refuses the
+        # stat of each file in it. Mode bits keep nothing from root, so the stat is
+        # refused by a patched Path.stat.
+        root = build_corpus(tmp_path)
+        hidden = root / "bravo" / "users.json"
+        shutil.copy(CREATE_USER, hidden)
+        # A dangling link is no file: it is passed over without a line.
+        (root / "bravo" / "gone.json").symlink_to(tmp_path / "nowhere.json")
+        stat = Path.stat
+
+        def refuse(self, **kwargs):
+            if self == hidden:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return stat(self, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", refuse)
+        assert main(["aggregate", "--format", "csv", str(root)]) == EXIT_ERROR
+        assert capsys.readouterr() == (EXPECTED_CSV, f"{hidden}: cannot read file: "
+                                                     f"{os.strerror(errno.EACCES)}\n")
+
     def test_files_are_linted_in_path_order_and_directory_links_not_followed(self, tmp_path,
                                                                              capsys):
         # By path parts, x/y.yaml comes before x-y.json, though "/" sorts after "-".

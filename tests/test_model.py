@@ -653,10 +653,9 @@ _YAML_KEYS = st.sampled_from(
      "!!str 1", ".nan"]
 )
 # Two-key mappings for the repeat and merge rules: equal keys (1 and true, a
-# repeated key), two NaNs (one float object, though a NaN equals no other NaN) and
-# a "<<" before or after a key, which _keyed_flat must not build as a display and
-# the line reader must not store as a plain key; and two distinct keys, which
-# _keyed_flat builds so.
+# repeated key), two NaNs (one float object, though a NaN equals no other NaN), a
+# "<<" before or after a key, which no reader may store as a plain key, and two
+# distinct keys.
 _KEY_PAIRS = [("1", "true"), (".nan", ".NaN"), ("<<", "a"), ("a", "<<"), ("a", "a"), ("a", "b")]
 
 
@@ -1039,6 +1038,57 @@ class TestYamlLoaders:
         else:
             assert taken
         assert _parsed(raw) == expected
+
+    @pytest.mark.parametrize("depth", [model._MAX_EVENT_DEPTH, model._MAX_EVENT_DEPTH + 1])
+    @pytest.mark.parametrize("nest", [
+        lambda n: "".join(" " * i + "k:\n" for i in range(n - 1)) + " " * (n - 1) + "k: v\n",
+        lambda n: "".join(" " * i + "k:\n" for i in range(n - 2)) + " " * (n - 2) + "k: {}\n",
+        lambda n: "- " * n + "v\n",
+        lambda n: "- " * (n - 1) + "[]\n",
+        lambda n: "- " * (n - 1) + "k: v\n",
+    ], ids=["block-mappings", "empty-map-deepest", "compact-entries", "empty-seq-deepest",
+            "compact-entries-then-key"])
+    def test_line_reader_takes_documents_up_to_the_depth_limit(self, nest, depth):
+        def nested(node) -> int:  # the containers from the root to the first leaf
+            if not isinstance(node, (dict, list)):
+                return 0
+            children = list(node.values()) if isinstance(node, dict) else node
+            return 1 + (nested(children[0]) if children else 0)
+
+        text = nest(depth)
+        pure = yaml.load(text, Loader=model._pure_loader())
+        assert nested(pure) == depth
+        if depth > model._MAX_EVENT_DEPTH:
+            with pytest.raises(model._HandOver):
+                model._yaml_from_lines(text)
+        else:
+            assert repr(model._yaml_from_lines(text)) == repr(pure)
+        assert _parsed(text.encode("utf-8")) == ("document", repr(pure), _duplicate_keys(pure))
+
+    # The two-key rows of test_line_reader_cases in flow style, which the event
+    # loop reads: a second "<<" is handed over, as the line reader hands it over.
+    @needs_libyaml
+    @pytest.mark.parametrize("raw, taken", [
+        (b"{1: a, true: b}\n", True),
+        (b"{.nan: a, .NaN: b}\n", True),
+        (b"{a: {<<: {}, k: v}}\n", True),
+        (b"{a: 1, a: 2}\n", True),
+        (b"{a: 1, b: 2}\n", True),
+        (b"{<<: {a: 1}, <<: {b: 2}, a: 3}\n", False),
+    ], ids=["two-keys-1-and-true", "two-keys-nan", "two-keys-merge", "two-keys-repeated",
+            "two-keys-distinct", "two-merge-keys"])
+    def test_event_loop_cases(self, raw, taken):
+        text = raw.decode("utf-8")
+        pure = yaml.load(text, Loader=model._pure_loader())
+        try:
+            read = model._yaml_from_events(text)
+        except model._HandOver:
+            assert not taken
+        else:
+            assert taken
+            assert repr(read) == repr(pure)
+            assert _duplicate_keys(read) == _duplicate_keys(pure)
+        assert _parsed(raw) == ("document", repr(pure), _duplicate_keys(pure))
 
     @pytest.mark.parametrize("last", ["x: |\n  a\n", "x: >-\n  a\n", "x: &a 1\ny: *a\n",
                                       "x: !!str 1\n", "x: [a, b]\n", "- {a: 1}\n", "? x\n"])
