@@ -15,6 +15,7 @@ import gc
 import os
 import sys
 from pathlib import Path
+from stat import S_ISREG
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, LexiconError, NotAnApiSpec, ParseError
@@ -220,15 +221,16 @@ def _lint_files(files: Iterable[str | Path], spec_id: str | None, rules: RuleCon
     """Yield (file, violations) per API description, named spec_id or else its path.
     Any other file gets a stderr line and joins failed, or if skip_non_specs only a
     `skipping` line if it is no API description, and none if it is no regular file,
-    such as a broken link. Each file ends in a gen-0 collection."""
-    skipped = NotAnApiSpec if skip_non_specs else ()  # an empty tuple catches nothing
+    such as a broken link or a fifo. Each file ends in a gen-0 collection."""
+    skipped = (NotAnApiSpec, FileNotFoundError) if skip_non_specs else ()  # () catches nothing
     for file in files:
-        try:
-            if skip_non_specs and not Path(file).is_file():  # a refused stat is a refused read
+        try:  # a refused stat is a refused read: it raises PermissionError, not False
+            if skip_non_specs and not S_ISREG(os.stat(file).st_mode):
                 continue
             spec = load_spec_file(file, spec_id)
-        except skipped:
-            print(f"skipping {file}: not an API description", file=sys.stderr)
+        except skipped as exc:  # a broken link's stat raises FileNotFoundError
+            if not isinstance(exc, FileNotFoundError):
+                print(f"skipping {file}: not an API description", file=sys.stderr)
         except OSError as exc:
             print(f"{file}: cannot read file: {exc.strerror or exc}", file=sys.stderr)
             failed.append(file)

@@ -490,8 +490,8 @@ _LINE_SLICE = 1 << 16
 _LINE_MEMO = 4096
 _LINE_CHARS = 256
 _LINE_RECORDS: dict[str, tuple[Any, ...]] = {}
-_BLANK = ()  # the record of a blank or comment line, the one record that is false
-_END = (-1, (), -1, _ABSENT, _ABSENT, False)  # the record after the last line
+_BLANK = ()  # the record of a blank or comment line
+_END = (-1, (), -1, _ABSENT, _ABSENT)  # the record after the last line
 _EMPTY = {"{}": dict, "[]": list}  # a record's value for these, built anew at each use
 
 
@@ -540,9 +540,8 @@ def _yaml_from_lines(text: str) -> Any:
     start = re.compile(_DOCUMENT_START).match(text)
     match = re.compile(_BLOCK_LINE).fullmatch
     # A line's text -> _BLANK, or its record: its column, each "- "'s column, its
-    # key's column, its key and value built or _ABSENT ({} and [] as their types),
-    # and whether that value is {} or []. Every value is immutable, so documents
-    # may share a record.
+    # key's column, and its key and value built or _ABSENT ({} and [] as their
+    # types). Every value is immutable, so documents may share a record.
     memo = _LINE_RECORDS
     for line in itertools.chain(_lines(text, start.end() if start else 0), (None,)):
         record = memo.get(line)
@@ -555,17 +554,16 @@ def _yaml_from_lines(text: str) -> Any:
                     raise _HandOver  # a line it does not read, a key too long, a plain "<<" value
                 at = len(indent)
                 record = _BLANK if key is None and value is None and not dashes else (
-                    at, tuple(i for i, char in enumerate(dashes, at) if char == "-") if dashes else (),
+                    at, tuple(at + i for i, char in enumerate(dashes) if char == "-") if dashes else (),
                     at + len(dashes), _ABSENT if key is None else scalars[key.rstrip(" ")],
-                    _ABSENT if value is None else _EMPTY.get(value) or scalars[value],
-                    value in _EMPTY)
+                    _ABSENT if value is None else _EMPTY.get(value) or scalars[value])
                 if len(line) <= _LINE_CHARS:
                     if len(memo) >= _LINE_MEMO:
                         memo.clear()
                     memo[line] = record
-        if not record:  # a blank or comment line
+        if record is _BLANK:
             continue
-        at, dashes, key_col, key, value, empty = record
+        at, dashes, key_col, key, value = record
         # The line's first node is the open node's value, or else its next key or entry.
         opens = slot and (at > col or at == col and is_map and dashes)
         if not opens:  # the open node's value, the last line's or an empty one, is whole
@@ -596,7 +594,8 @@ def _yaml_from_lines(text: str) -> Any:
                 stack.append((col, node, is_map, indentless, key_wait))
                 col, node, is_map, indentless = key_col, {}, True, False
             key_wait = key
-        if len(stack) + empty > _MAX_EVENT_DEPTH:  # {} or [] is one container more
+        empty = value is dict or value is list  # {} or [], one container more
+        if len(stack) + empty > _MAX_EVENT_DEPTH:
             raise _HandOver
         slot = value is _ABSENT
         last = value() if empty else None if slot else value

@@ -747,20 +747,20 @@ class TestAggregateCommand:
                                                               capsys):
         # A directory that can be listed but not searched (mode r--) refuses the
         # stat of each file in it. Mode bits keep nothing from root, so the stat is
-        # refused by a patched Path.stat.
+        # refused by a patched os.stat, the call aggregate makes.
         root = build_corpus(tmp_path)
         hidden = root / "bravo" / "users.json"
         shutil.copy(CREATE_USER, hidden)
         # A dangling link is no file: it is passed over without a line.
         (root / "bravo" / "gone.json").symlink_to(tmp_path / "nowhere.json")
-        stat = Path.stat
+        stat = os.stat
 
-        def refuse(self, **kwargs):
-            if self == hidden:
-                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
-            return stat(self, **kwargs)
+        def refuse(path, *args, **kwargs):
+            if os.fspath(path) == str(hidden):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return stat(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "stat", refuse)
+        monkeypatch.setattr(os, "stat", refuse)
         assert main(["aggregate", "--format", "csv", str(root)]) == EXIT_ERROR
         assert capsys.readouterr() == (EXPECTED_CSV, f"{hidden}: cannot read file: "
                                                      f"{os.strerror(errno.EACCES)}\n")
