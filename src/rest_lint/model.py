@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import re
 import types
 from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import Any, BinaryIO, NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import NotAnApiSpec, ParseError
 
@@ -66,13 +65,12 @@ class ApiSpecification(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-def load_spec(source: bytes | BinaryIO, spec_id: str) -> ApiSpecification:
+def load_spec(data: bytes, spec_id: str) -> ApiSpecification:
     """Parse a JSON or YAML API description into the normalized model.
 
     Raises ParseError for undecodable/unparseable input and NotAnApiSpec
     for documents with neither a ``paths`` section nor a version marker.
     """
-    data = source if isinstance(source, bytes) else source.read()
     diagnostics: list[str] = []  # the parser's, then the builder's
     doc = _parse_document(data, diagnostics)
     if not isinstance(doc, dict):
@@ -185,7 +183,12 @@ def _pure_loader() -> Any:
                 key = self.construct_object(key_node, deep=True)
                 try:
                     hash(key)
-                except TypeError:
+                except TypeError:  # keyed by its str() once filled, as construct_document fills
+                    while self.state_generators:
+                        waiting, self.state_generators = self.state_generators, []
+                        for generator in waiting:
+                            for _ in generator:
+                                pass
                     key = str(key)
                 value = self.construct_object(value_node, deep=True)
                 if key in mapping:
@@ -277,45 +280,22 @@ def _implicit_resolvers() -> dict[str, list[tuple[str, re.Pattern[str]]]]:
 _NUMBERS = {"tag:yaml.org,2002:int": int, "tag:yaml.org,2002:float": float}
 
 
-def _number(token: str, kind: type) -> Any:
-    """An int or float token's value, built as SafeConstructor's construct_yaml_int
-    and construct_yaml_float build it: underscores dropped, a sign, 0b, 0x and
-    leading-0 octal ints, base 60 ("1:30"), .inf and .nan."""
-    value = token.replace("_", "")
-    if kind is float:
-        value = value.lower()
-    sign = -1 if value[0] == "-" else 1
-    if value[0] in "+-":
-        value = value[1:]
-    if value == ".inf":
-        return sign * math.inf
-    if value == ".nan":
-        return math.nan
-    if kind is int and value[0] == "0" and value != "0":
-        if value[1] in "bx":
-            return sign * int(value[2:], 2 if value[1] == "b" else 16)
-        return sign * int(value, 8)
-    if ":" not in value:
-        return sign * kind(value)
-    total, base = kind(0), 1
-    for part in reversed(value.split(":")):
-        total += kind(part) * base
-        base *= 60
-    return sign * total
-
-
 def _plain(token: str) -> Any:
     """A plain scalar's value, resolved as SafeLoader resolves it. A string, bool,
-    null, int, float, date or "<<" is built here; a timestamp with a time, or
-    "=", needs PyYAML's constructors."""
+    null, decimal int or float, date or "<<" is built here; any other number, a
+    timestamp with a time, or "=", needs PyYAML's constructors."""
     for tag, pattern in _implicit_resolvers().get(token[:1], ()):
         if pattern.match(token):
             if tag == "tag:yaml.org,2002:bool":
                 return token.lower() in ("yes", "true", "on")
             if tag == "tag:yaml.org,2002:null":
                 return None
-            if tag in _NUMBERS:
-                return _number(token, _NUMBERS[tag])
+            if tag in _NUMBERS:  # decimal; PyYAML builds 0b, 0x, 0-octal, 1:30, .inf, .nan
+                kind, value = _NUMBERS[tag], token.replace("_", "")
+                digits = value.lstrip("+-")
+                if ":" not in value and value[-1] not in "fFnN" and (
+                        kind is float or digits == "0" or digits[0] != "0"):
+                    return kind(value)
             if tag == "tag:yaml.org,2002:timestamp" and len(token) == 10:  # YYYY-MM-DD
                 import datetime  # as construct_yaml_timestamp builds a date
 
@@ -427,8 +407,8 @@ def _yaml_from_events(text: str) -> Any:
             if not isinstance(get_event(), yaml.StreamEndEvent):
                 raise _HandOver
             return node[0]
-        # The value is whole. An unhashable (complex) key raises TypeError: PyYAML
-        # keys it by its str() before an aliased sequence in it may be filled.
+        # The value is whole. An unhashable (complex) key raises TypeError, which
+        # leaves the text to the pure-Python loader: it keys it by its str().
         if not is_map:
             node.append(value)
         elif key is _ABSENT:
@@ -683,18 +663,16 @@ class _Build:
         self.produces: frozenset[str] = _NO_MEDIA
         self.requires_credentials = False  # the root's security, where an operation has none
         self.diagnostics = diagnostics
+        self.diag = diagnostics.append
         self.status_keys: dict[str | int, str | None] = {}
         # Content keys, in order, -> their media types, for key sets that raised no diagnostic.
         self.content_media: dict[tuple[Any, ...], frozenset[str]] = {}
         self.built = 0  # operations, responses and parameters, a shared node each time used
 
-    def diag(self, message: str) -> None:
-        self.diagnostics.append(message)
-
-    def deref(self, node: Any, where: str, detail: str = "", sep: str = " ") -> Any:
+    def deref(self, node: Any, where: str, detail: str = "") -> Any:
         """Resolve the chained local $ref pointers of a node that has one; remote refs
         yield {}. Callers test for "$ref" inline: a call per node costs more."""
-        context = f"{where}{sep}{detail}" if detail else where
+        context = f"{where} {detail}" if detail else where
         depth = 0
         while isinstance(node, dict) and "$ref" in node:
             ref = node["$ref"]
@@ -797,7 +775,7 @@ def _build_path_entry(template: str, item: Any, build: _Build) -> PathEntry:
         if method is None:
             continue
         if isinstance(op, dict) and "$ref" in op:
-            op = build.deref(op, template, key, ".")
+            op = build.deref(op, template, method)
         if not isinstance(op, dict):
             build.diag(f"{template}: operation {method} is not a mapping; skipped")
             continue

@@ -36,12 +36,14 @@ class CorpusSummary(NamedTuple):
 
 def build_report(spec_id: str, violations: Iterable[Violation]) -> LintReport:
     """Assemble a report from run_rules' violations: keep the first one given
-    of each sort_key(), sort by that key, count per rule."""
+    of each (path, method, rule name, fragment, status key), sort by that key,
+    count per rule. The key is the report order and the coalescing key:
+    violations equal on it are one."""
     unique: dict[tuple, Violation] = {}
     counts = dict.fromkeys(RULE_ORDER, 0)
     for violation in violations:
         rule, path, method, status_key, fragment, _ = violation
-        key = (path, method or "", RULE_NAMES[rule], fragment, status_key or "")  # sort_key()
+        key = (path, method or "", RULE_NAMES[rule], fragment, status_key or "")
         if key not in unique:
             unique[key] = violation
             counts[rule] += 1

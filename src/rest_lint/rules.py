@@ -99,11 +99,6 @@ class Violation(NamedTuple):
     fragment: str
     message: str
 
-    def sort_key(self) -> tuple:
-        """Report order, and the coalescing key: findings equal on it are one."""
-        return (self.path, self.method or "", RULE_NAMES[self.rule], self.fragment,
-                self.status_key or "")
-
 
 # A Violation of a (rule, *finding) tuple, built in C without the
 # NamedTuple constructor's Python-level call.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime
 import importlib.util
-import io
 import json
 import math
 import os
@@ -89,10 +88,6 @@ class TestLoadBasics:
         spec = load_spec(raw, "trace")
         assert list(spec.paths["/users"].operations) == ["GET"]
         assert spec.diagnostics == ()
-
-    def test_accepts_binary_stream(self):
-        spec = load_spec(io.BytesIO(MINIMAL_V3), "stream")
-        assert spec.spec_id == "stream"
 
     def test_yaml_input(self):
         text = b"openapi: 3.0.0\ninfo: {title: T, version: '1'}\npaths:\n  /users:\n    get:\n      responses:\n        '200': {description: OK}\n"
@@ -407,7 +402,7 @@ class TestDiagnostics:
                             "responses": {"200": {"$ref": "#/r"}}}},
             "/a": {"$ref": "#/x"}}}),
          ("/b parameter: $ref '#/nope' does not resolve, treated as empty",
-          "/b.get: $ref '#/y' does not resolve, treated as empty",
+          "/b GET: $ref '#/y' does not resolve, treated as empty",
           "/b GET: no responses declared",
           "/b POST parameter: non-local $ref 'other#/p' not resolved, treated as empty",
           "/b POST requestBody: $ref '#/rb' does not resolve, treated as empty",
@@ -1103,8 +1098,11 @@ class TestYamlLoaders:
         (b"{a: 1, a: 2}\n", True),
         (b"{a: 1, b: 2}\n", True),
         (b"{<<: {a: 1}, <<: {b: 2}, a: 3}\n", False),
+        # The line reader hands this over, and LibYAML reads U+2029 as a line break:
+        # a stream with no document, which the event loop reads as None.
+        ("# \u2029\n".encode(), True),
     ], ids=["two-keys-1-and-true", "two-keys-nan", "two-keys-merge", "two-keys-repeated",
-            "two-keys-distinct", "two-merge-keys"])
+            "two-keys-distinct", "two-merge-keys", "no-document"])
     def test_event_loop_cases(self, raw, taken):
         text = raw.decode("utf-8")
         pure = yaml.load(text, Loader=model._pure_loader())
@@ -1306,9 +1304,17 @@ class TestYamlLoaders:
         assert outcome(lambda: model._Scalars()[token]) == expected
 
     def test_numbers_need_no_pyyaml(self):
-        expected = "{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb'} False\n"
-        data = "b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n'"
+        expected = ("{'x-min': 0, 'ratio': 1.5, 'd': 'a\\nb', 'n': -3, 'e': 2500.0, "
+                    "'u': 1000, 'h': 0.5, 'o': 1.0} False\n")
+        data = ("b'x-min: 0\\nratio: 1.5\\nd: \"a\\\\nb\"\\n"
+                "n: -3\\ne: +2.5e+3\\nu: 1_000\\nh: .5\\no: 1.\\n'")
         assert _parse_in_fresh_interpreter(data) == expected
+
+    def test_other_number_spellings_are_pyyamls(self):
+        # Only decimal ints and floats are built in-house; PyYAML builds the rest.
+        text = "a: 0x1A\nb: 0644\nc: 010\nd: 1:30\ne: .inf\nf: -.Inf\ng: .nan\n"
+        expected = f"{yaml.safe_load(text)} True\n"
+        assert _parse_in_fresh_interpreter(repr(text.encode())) == expected
 
     def test_dates_need_no_pyyaml(self):
         expected = "{'d': datetime.date(2024, 1, 1), 'e': '2024-1-1'} False\n"
@@ -1405,6 +1411,17 @@ class TestDuplicateKeys:
         repeats = _keep_first(pairs)[1]
         assert list(getattr(from_json, "duplicate_keys", ())) == repeats
         assert repeats or type(from_json) is type(from_yaml) is dict
+
+    # A complex (unhashable) key is keyed by str() of its value once filled, even
+    # where PyYAML fills an aliased collection only after the top-level sequence,
+    # so an alias gives the key that the same collection written out gives.
+    @pytest.mark.parametrize("raw, written_out, key", [
+        (b"- &x [1]\n- {? *x : v}\n", b"? [1]\n: v\n", "[1]"),
+        (b"- &x [1, [2]]\n- {? [*x] : v}\n", b"? [[1, [2]]]\n: v\n", "[[1, [2]]]"),
+        (b"- &x {a: 1}\n- {? *x : v}\n", b"? {a: 1}\n: v\n", "{'a': 1}"),
+    ], ids=["aliased-sequence", "aliased-sequence-in-key", "aliased-mapping"])
+    def test_complex_key_is_its_filled_value(self, raw, written_out, key):
+        assert model._parse_document(raw)[1] == model._parse_document(written_out) == {key: "v"}
 
 
 MERGES = {

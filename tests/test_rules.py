@@ -455,7 +455,8 @@ class TestRunRules:
         second = run_rules(spec, RuleConfig(), LEX)
         assert first == second
         ordered = list(build_report("t", first).violations)
-        assert ordered == sorted(ordered, key=lambda v: v.sort_key())
+        assert ordered == sorted(ordered, key=lambda v: (
+            v.path, v.method or "", v.rule.value, v.fragment, v.status_key or ""))
 
     def test_disabling_one_rule_removes_exactly_its_violations(self, corpus_labels, lexicon):
         for entry in corpus_labels:
